@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint simlint simlint-json simlint-sarif bench bench-smoke hybrid-smoke perf perf-smoke figures figures-smoke traces traces-smoke tour examples all clean
+.PHONY: install test lint simlint simlint-json simlint-sarif bench bench-smoke hybrid-smoke perf perf-smoke perfbench-smoke figures figures-smoke traces traces-smoke tour examples all clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -73,6 +73,29 @@ perf:
 perf-smoke:
 	REPRO_BENCH_SMOKE=1 PYTHONPATH=src:$(PYTHONPATH) \
 		$(PYTHON) -m repro.perf --check $(PERF_ARGS)
+
+# Lock on the benchmark's recorded outputs (BENCHMARK.json, perfbench/):
+# the benchmark's own tests, then a 1 s untraced run of every workload at
+# seeds 17 and 23 (atc_sweep is seedless: 17 only), whose per-op output
+# digests must match perfbench/digests.json.  run.py exits 0 even when a
+# check fails, so the JSON last line must read "correct": true and
+# "failed": 0.
+PERFBENCH_RUNS = atc_sweep:17 packet_spray:17 packet_spray:23 \
+	fleet_fluid:17 fleet_fluid:23 fleet_hybrid:17 fleet_hybrid:23
+PERFBENCH_CHECK = import json, sys; \
+	r = json.loads(sys.stdin.read().splitlines()[-1]); \
+	print("correct=%s failed=%d/%d" % (r["correct"], r["failed"], r["attempted"])); \
+	sys.exit(r["correct"] is not True or r["failed"] != 0)
+
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench -q
+	@for run in $(PERFBENCH_RUNS); do \
+		workload=$${run%%:*}; seed=$${run##*:}; \
+		echo "== perfbench $$workload seed $$seed"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed $$seed \
+			--seconds 1 --trace 0 | $(PYTHON) -c '$(PERFBENCH_CHECK)' \
+			|| exit 1; \
+	done
 
 # Full figure sweeps through the parallel runner (repro.runner): every
 # sweep point is a cached TaskSpec, so re-running after a code change

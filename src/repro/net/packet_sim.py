@@ -9,12 +9,12 @@ Used for the queue-depth (Figure 9) and loss-resilience (Figure 11)
 experiments and for pricing the fleet's promoted hybrid-fidelity
 windows; the fluid simulator handles the 512+-GPU collective runs.
 
-Untraced runs take a struct-of-arrays hot path: whole window bursts are
-priced through one numpy busy-chain per first-hop port (send_burst) and
+The hot path is struct-of-arrays: whole window bursts are priced
+through one numpy busy-chain per first-hop port (send_burst) and
 retransmission timers collapse into one lazy ladder per flow — both
 reproduce the scalar engine's floats and RNG draws bit for bit
-(tests/test_packet_differential.py pins this).  Traced runs keep the
-original per-packet events, so determinism digests are unchanged.
+(tests/test_packet_differential.py pins this).  Traced runs execute the
+same code; the tracer only observes.
 """
 
 from collections import deque
@@ -289,17 +289,13 @@ class PacketNetSim:
             busy = port.busy_until
             depart = (busy if busy > now else now) + tx_time
             port.busy_until = depart
-            next_index = index + 1
             # schedule_call: the hop event is never cancelled, so skip
-            # the Event-handle allocation.  Untraced runs continue via a
-            # C-level partial (no closure frame per hop); traced runs
-            # keep the lambda so the recorded callback qualname stays
-            # ``PacketNetSim._hop.<locals>.<lambda>`` in the digests.
-            if self.tracer is None:
-                hop = partial(self._hop, packet, next_index, ecn)
-            else:
-                hop = lambda: self._hop(packet, next_index, ecn)
-            scheduler.schedule_call(depart - now + HOP_PROPAGATION_SECONDS, hop)
+            # the Event-handle allocation; a C-level partial continues
+            # the packet without a closure frame per hop.
+            scheduler.schedule_call(
+                depart - now + HOP_PROPAGATION_SECONDS,
+                partial(self._hop, packet, index + 1, ecn),
+            )
             return
         self.packets_dropped += 1
         if self.tracer is not None:
@@ -538,16 +534,14 @@ class MessageFlow:
         self.finish_time = None
         self.rto_count = 0
         self._next_seq = 0
-        #: seq -> (rto event or None, size, path, tx id) for every
-        #: unacked packet.  The tx id is a per-flow monotone counter that
-        #: disambiguates retransmissions reusing a seq; untraced runs
-        #: timer their RTOs through the lazy ladder below and leave the
-        #: event slot None.
+        #: seq -> (size, path, tx id) for every unacked packet.  The tx id
+        #: is a per-flow monotone counter that disambiguates
+        #: retransmissions reusing a seq in the lazy RTO ladder below.
         self._outstanding = {}
         # SprayConnection.rto is immutable after construction; the alias
         # saves one attribute hop per transmitted packet.
         self._rto = self.conn.rto
-        #: Lazy RTO machinery (untraced runs only): a FIFO of
+        #: Lazy RTO machinery: a FIFO of
         #: (deadline, seq, size, path, tx id) — deadline-ordered because
         #: the RTO is constant and send times are non-decreasing —
         #: drained by a single armed timer (_rto_tick) instead of one
@@ -613,48 +607,34 @@ class MessageFlow:
         now = self._scheduler.now
         if cc.__class__ is WindowCC:
             # Inlined can_send(mtu)/on_send(size) for the stock window
-            # CC — identical arithmetic, two fewer Python calls per
-            # packet.  Subclasses and alternative CCs take the generic
-            # loop below so overrides keep working.
-            if self.sim.tracer is None:
-                # Batched window arithmetic: decide the whole burst's
-                # sizes with local ints first (same comparisons as the
-                # scalar loop — window is constant during a pump, no ACK
-                # runs in between), then transmit.  Big window-opening
-                # bursts go struct-of-arrays through send_burst(); small
-                # ACK-clocked refills replay the scalar sequence.
-                in_flight = cc.in_flight
-                window = cc.window
-                unsent = self.bytes_unsent
-                sizes = []
-                while unsent > 0:
-                    if in_flight != 0 and in_flight + mtu > window:
-                        break
-                    size = mtu if mtu < unsent else unsent
-                    unsent -= size
-                    in_flight += size
-                    sizes.append(size)
-                if not sizes:
-                    return
-                cc.in_flight = in_flight
-                self.bytes_unsent = unsent
-                if len(sizes) >= BURST_MIN_PACKETS and self._burst_eligible():
-                    self._transmit_burst(sizes, now, next_path)
-                    return
-                for size in sizes:
-                    seq = self._next_seq
-                    self._next_seq = seq + 1
-                    self._transmit(seq, size, next_path(now=now))
-                return
-            while self.bytes_unsent > 0:
-                in_flight = cc.in_flight
-                if in_flight != 0 and in_flight + mtu > cc.window:
+            # CC, batched: decide the whole burst's sizes with local
+            # ints first (same comparisons as the scalar loop — window
+            # is constant during a pump, no ACK runs in between), then
+            # transmit.  Big window-opening bursts go struct-of-arrays
+            # through send_burst(); small ACK-clocked refills replay the
+            # scalar sequence.  Subclasses and alternative CCs take the
+            # generic loop below so overrides keep working.
+            in_flight = cc.in_flight
+            window = cc.window
+            unsent = self.bytes_unsent
+            sizes = []
+            while unsent > 0:
+                if in_flight != 0 and in_flight + mtu > window:
                     break
-                size = mtu if mtu < self.bytes_unsent else self.bytes_unsent
-                self.bytes_unsent -= size
+                size = mtu if mtu < unsent else unsent
+                unsent -= size
+                in_flight += size
+                sizes.append(size)
+            if not sizes:
+                return
+            cc.in_flight = in_flight
+            self.bytes_unsent = unsent
+            if len(sizes) >= BURST_MIN_PACKETS and self._burst_eligible():
+                self._transmit_burst(sizes, now, next_path)
+                return
+            for size in sizes:
                 seq = self._next_seq
                 self._next_seq = seq + 1
-                cc.in_flight = in_flight + size
                 self._transmit(seq, size, next_path(now=now))
             return
         while self.bytes_unsent > 0 and cc.can_send(mtu):
@@ -677,28 +657,18 @@ class MessageFlow:
         sent_at = scheduler.now
         tx_id = self._next_tx_id
         self._next_tx_id = tx_id + 1
-        # RTO handling splits on tracing like the hop continuation.
-        # Untraced runs take the lazy ladder: one deque append here plus
-        # a single armed timer replaces a per-packet Event schedule and
-        # the (almost always) matching cancel — the dominant scheduler
-        # churn of a healthy flow, where real RTO fires are vanishingly
-        # rare.  Traced runs keep the per-packet timer: its
-        # schedule/cancel sequence and the lambda qualname are
-        # digest-bearing.  The delivery callback is invoked directly by
-        # the packet sim — never recorded — so it is always a partial:
-        # _hop calls it with (latency, ecn), which append positionally
-        # onto (seq, size, path, sent_at).
-        if self.sim.tracer is None:
-            deadline = sent_at + self._rto
-            self._rto_ladder.append((deadline, seq, size, path, tx_id))
-            self._outstanding[seq] = (None, size, path, tx_id)
-            if not self._rto_timer_armed:
-                self._rto_timer_armed = True
-                scheduler.schedule_at(deadline, self._rto_tick)
-        else:
-            rto_cb = lambda: self._on_rto(seq, size, path)
-            rto_event = scheduler.schedule(self._rto, rto_cb)
-            self._outstanding[seq] = (rto_event, size, path, tx_id)
+        # Lazy RTO ladder: one deque append here plus a single armed
+        # timer replaces a per-packet Event schedule and the (almost
+        # always) matching cancel — the dominant scheduler churn of a
+        # healthy flow, where real RTO fires are vanishingly rare.  _hop
+        # calls the delivery partial with (latency, ecn), which append
+        # positionally onto (seq, size, path, sent_at).
+        deadline = sent_at + self._rto
+        self._rto_ladder.append((deadline, seq, size, path, tx_id))
+        self._outstanding[seq] = (size, path, tx_id)
+        if not self._rto_timer_armed:
+            self._rto_timer_armed = True
+            scheduler.schedule_at(deadline, self._rto_tick)
         self._send_packet(
             route,
             size,
@@ -759,7 +729,7 @@ class MessageFlow:
                 (route, size, partial(on_delivered, seq, size, path, now))
             )
             ladder.append((deadline, seq, size, path, tx_id))
-            outstanding[seq] = (None, size, path, tx_id)
+            outstanding[seq] = (size, path, tx_id)
             seq += 1
             tx_id += 1
         self._next_seq = seq
@@ -770,7 +740,7 @@ class MessageFlow:
         self.sim.send_burst(rows)
 
     def _rto_tick(self):
-        """The single armed retransmission timer (untraced runs).
+        """The flow's single armed retransmission timer.
 
         Pops every stale head (acked or superseded packets — recognised
         by tx id), fires any live entry whose deadline has passed, then
@@ -784,7 +754,7 @@ class MessageFlow:
         while ladder:
             deadline, seq, size, path, tx_id = ladder[0]
             entry = outstanding.get(seq)
-            if entry is None or entry[3] != tx_id:
+            if entry is None or entry[2] != tx_id:
                 ladder.popleft()
                 continue
             if deadline <= now:
@@ -798,16 +768,11 @@ class MessageFlow:
             self._rto_timer_armed = False
 
     def _on_delivered(self, seq, size, path, sent_at, latency, ecn):
-        # The ACK flies back contention-free (ACKs are tiny).  Same
-        # traced/untraced split as the hop continuation: the ACK event's
-        # qualname is digest-bearing, so traced runs keep the in-function
-        # lambda while untraced runs skip the closure and its extra frame.
-        ack_delay = HOP_PROPAGATION_SECONDS * 2
-        if self.sim.tracer is None:
-            ack_cb = partial(self._on_ack, seq, size, path, sent_at, ecn)
-        else:
-            ack_cb = lambda: self._on_ack(seq, size, path, sent_at, ecn)
-        self._scheduler.schedule_call(ack_delay, ack_cb)
+        # The ACK flies back contention-free (ACKs are tiny).
+        self._scheduler.schedule_call(
+            HOP_PROPAGATION_SECONDS * 2,
+            partial(self._on_ack, seq, size, path, sent_at, ecn),
+        )
 
     def _on_ack(self, seq, size, path, sent_at, ecn):
         outstanding = self._outstanding
@@ -819,12 +784,8 @@ class MessageFlow:
                 # gap ahead of this packet means it will be retransmitted
                 # anyway.
                 return
-        entry = outstanding.pop(seq, None)
-        if entry is None:
+        if outstanding.pop(seq, None) is None:
             return  # already retransmitted; ignore the stale ACK
-        event = entry[0]
-        if event is not None:
-            event.cancel()  # traced runs: per-packet timer
         now = self._scheduler.now
         rtt = now - sent_at
         self.bytes_acked += size
@@ -883,13 +844,12 @@ class MessageFlow:
         self.conn.on_loss(path)
         if self.recovery == "go_back_n":
             # Classic RoCE: the loss invalidates every later in-flight
-            # packet; cancel their timers and retransmit the whole tail.
+            # packet; retransmit the whole tail (their ladder entries go
+            # stale with the pop).
             tail = sorted(s for s in self._outstanding if s >= seq)
             resend = []
             for s in tail:
-                event, sz, p, _tx = self._outstanding.pop(s)
-                if event is not None:
-                    event.cancel()
+                sz, p, _tx = self._outstanding.pop(s)
                 resend.append((s, sz, p))
             self.conn.cc.on_rto()  # full stall: halve window, clear flight
             self._record_cc_collapse(flight)

@@ -12,6 +12,7 @@ When tracing is off, components hold ``tracer = None`` (or the shared
 """
 
 import json
+from functools import partial
 
 
 #: Phase codes from the Chrome trace-event spec.
@@ -146,8 +147,10 @@ class Tracer:
     def record_callback(self, ts, name, wall_seconds, queue_depth=None):
         """One executed scheduler callback: sim instant + wall self-time.
 
-        Called by :meth:`repro.sim.engine.EventScheduler.step`.  The event
-        lands on the ``scheduler`` track; aggregated wall totals feed
+        Called by the scheduler's per-event hook (see
+        :meth:`repro.sim.engine.EventScheduler.set_tracer`) for every
+        event its run loop executes.  The event lands on the
+        ``scheduler`` track; aggregated wall totals feed
         :meth:`self_profile`.
         """
         entry = self._wall_profile.get(name)
@@ -267,7 +270,13 @@ NULL_TRACER = NullTracer()
 
 
 def callback_name(callback):
-    """Human-readable label for a scheduler callback."""
+    """Human-readable label for a scheduler callback.
+
+    ``functools.partial`` wrappers (nested ones included) are labelled by
+    the function they bind, e.g. ``PacketNetSim._hop``.
+    """
+    while isinstance(callback, partial):
+        callback = callback.func
     name = getattr(callback, "__qualname__", None)
     if name is None:
         name = type(callback).__name__

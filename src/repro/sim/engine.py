@@ -13,27 +13,24 @@ Hot-path design (the perf suite in :mod:`repro.perf` tracks all of it):
   compared).
 * Live/cancelled counts are maintained incrementally — ``pending()`` is
   O(1) instead of an O(n) heap scan.
-* ``run()`` is a fused loop: one heap pop per event, instead of the old
-  ``peek_time()`` + ``step()`` pair that could touch the heap twice.
-* Cancelled events are skipped lazily, and when tracing is off the heap
-  is compacted once dead entries outnumber live ones (loss-heavy packet
-  runs cancel thousands of RTO timers that would otherwise linger until
-  their deadline).  Traced runs never compact: the tracer's queue-depth
-  samples are part of the determinism digest, and a traced heap must
-  look exactly like it always did.
+* ``run()`` is the only dispatch loop: one heap pop per event, with
+  same-timestamp batches drained in an inner loop.  ``step()`` is
+  ``run(max_events=1)``.
+* Observers never fork the loop.  Every executed event goes through one
+  per-event hook, ``hook(event_time, callback)``, which must call the
+  callback; it is ``None`` when nothing observes.  The tracer's
+  wall-time/queue-depth recording (:meth:`set_tracer`) and
+  :class:`~repro.sim.sanitizer.SimSanitizer`'s clock check are hooks.
+* Cancelled events are skipped lazily, and the heap is compacted once
+  dead entries outnumber live ones (loss-heavy packet runs cancel
+  thousands of timers that would otherwise linger until their deadline).
 """
 
 import heapq
 import itertools
 import time
 
-try:
-    from repro.obs.trace import callback_name
-except ImportError:  # pragma: no cover — stripped deployments without obs
-    def callback_name(callback):
-        """Fallback label when the obs package is unavailable."""
-        name = getattr(callback, "__qualname__", None)
-        return name if name is not None else type(callback).__name__
+from repro.obs.trace import callback_name
 
 
 class SimProcessError(RuntimeError):
@@ -77,7 +74,7 @@ class EventScheduler:
     #: Emit a queue-depth counter sample every N traced callbacks.
     QUEUE_SAMPLE_EVERY = 32
 
-    #: Compact the heap (untraced runs only) once cancelled entries both
+    #: Compact the heap once cancelled entries both
     #: outnumber live ones and exceed this floor — below it, lazy
     #: skipping is cheaper than a heapify.
     COMPACT_MIN_DEAD = 64
@@ -92,6 +89,8 @@ class EventScheduler:
         self.events_executed = 0
         # Cancelled-but-still-queued entry count; live = len(heap) - dead.
         self._dead = 0
+        #: Per-event hook ``hook(event_time, callback)`` or ``None``.
+        self._hook = None
         self.tracer = None
         if tracer is not None:
             self.set_tracer(tracer)
@@ -99,15 +98,39 @@ class EventScheduler:
     def set_tracer(self, tracer):
         """Attach a :class:`repro.obs.trace.Tracer` (or ``None`` to detach).
 
-        Disabled tracers (``NULL_TRACER``) normalize to ``None`` so the run
-        loop's only overhead when tracing is off is one ``is not None``
-        test per run.  Attach tracers between ``run()`` calls — the run
-        loop latches the tracer when it starts.
+        Disabled tracers (``NULL_TRACER``) normalize to ``None``.  The
+        tracer observes through the per-event hook: when no other
+        observer (a ``SimSanitizer``) has wrapped it, the hook is
+        :meth:`_trace_call` or ``None``; an observer's chain ends in
+        :meth:`_trace_call`, which reads ``self.tracer`` per event.
+        Attach tracers between ``run()`` calls — the run loop latches
+        the hook when it starts.
         """
         if tracer is not None and not getattr(tracer, "enabled", True):
             tracer = None
         self.tracer = tracer
+        hook = self._hook
+        if hook is None or hook == self._trace_call:
+            self._hook = None if tracer is None else self._trace_call
         return tracer
+
+    def _trace_call(self, event_time, callback):
+        """The tracer's per-event hook: run ``callback`` and record it."""
+        tracer = self.tracer
+        if tracer is None:
+            callback()
+            return
+        # Wall-clock here profiles the *simulator itself* (how long a
+        # callback took in host time); it never feeds simulation state.
+        wall_start = time.perf_counter()  # simlint: ok D-wallclock D-sim-pure
+        callback()
+        wall = time.perf_counter() - wall_start  # simlint: ok D-wallclock D-sim-pure
+        depth = None
+        if self.events_executed % self.QUEUE_SAMPLE_EVERY == 0:
+            depth = len(self._heap)
+        tracer.record_callback(
+            event_time, callback_name(callback), wall, queue_depth=depth
+        )
 
     def register_metrics(self, registry, prefix="scheduler"):
         """Expose run-loop health under ``scheduler.*`` in ``registry``."""
@@ -160,11 +183,7 @@ class EventScheduler:
     def _note_cancel(self):
         """Accounting hook from :meth:`Event.cancel` (pending events only)."""
         dead = self._dead = self._dead + 1
-        if (
-            dead >= self.COMPACT_MIN_DEAD
-            and dead * 2 > len(self._heap)
-            and self.tracer is None
-        ):
+        if dead >= self.COMPACT_MIN_DEAD and dead * 2 > len(self._heap):
             self._compact()
 
     def _compact(self):
@@ -195,42 +214,8 @@ class EventScheduler:
         return None
 
     def step(self):
-        """Execute the next live event.  Returns ``False`` when queue is empty.
-
-        The fused ``run()`` loop is the fast path; ``step()`` stays the
-        single-event building block for drivers that need per-event
-        control (``SimSanitizer`` shadows it to interpose checks).
-        """
-        heap = self._heap
-        while heap:
-            event_time, _seq, payload = heapq.heappop(heap)
-            if payload.__class__ is Event:
-                if payload.cancelled:
-                    self._dead -= 1
-                    continue
-                payload._sched = None
-                callback = payload.callback
-            else:
-                callback = payload
-            self.now = event_time
-            self.events_executed += 1
-            tracer = self.tracer
-            if tracer is None:
-                callback()
-                return True
-            # Wall-clock here profiles the *simulator itself* (how long a
-            # callback took in host time); it never feeds simulation state.
-            wall_start = time.perf_counter()  # simlint: ok D-wallclock D-sim-pure
-            callback()
-            wall = time.perf_counter() - wall_start  # simlint: ok D-wallclock D-sim-pure
-            depth = None
-            if self.events_executed % self.QUEUE_SAMPLE_EVERY == 0:
-                depth = len(heap)
-            tracer.record_callback(
-                event_time, callback_name(callback), wall, queue_depth=depth
-            )
-            return True
-        return False
+        """Execute the next live event.  Returns ``False`` when queue is empty."""
+        return self.run(max_events=1) == 1
 
     def run(self, until=None, max_events=None):
         """Run events in order.
@@ -243,18 +228,12 @@ class EventScheduler:
         Returns:
             The number of events executed by this call.
         """
-        if "step" in self.__dict__:
-            # step() has been instance-shadowed (SimSanitizer does this to
-            # interpose per-event checks); honour it instead of the fused
-            # loop so every event still flows through the shadow.
-            return self._run_stepped(until, max_events)
         executed = 0
         budget = float("inf") if max_events is None else max_events
         limit = float("inf") if until is None else until
         heap = self._heap
         heappop = heapq.heappop
-        tracer = self.tracer
-        sample_every = self.QUEUE_SAMPLE_EVERY
+        hook = self._hook
         while heap:
             if executed >= budget:
                 return executed
@@ -269,85 +248,49 @@ class EventScheduler:
             if event_time > limit:
                 self.now = float(until)
                 return executed
-            if tracer is None:
-                heappop(heap)
-                if is_event:
-                    payload._sched = None
-                    callback = payload.callback
-                else:
-                    callback = payload
-                self.now = event_time
-                self.events_executed += 1
-                executed += 1
-                callback()
-                # Batched dispatch: while the next entries share this
-                # timestamp, drain them here without re-running the
-                # outer loop's limit compare, clock store, and tracer
-                # dispatch — none of which can change within one
-                # timestamp.  Heap pops stay one-per-event (ties are
-                # ordered by seq, which only the heap knows), but the
-                # per-event bookkeeping collapses to the cancellation
-                # check and the budget guard.  Events a callback
-                # schedules at this same timestamp carry larger seqs
-                # and are drained by this same loop, in order; events
-                # it cancels are still heap-resident and are skipped
-                # with exact dead-entry accounting.
-                while heap and heap[0][0] == event_time and executed < budget:
-                    payload = heap[0][2]
-                    if payload.__class__ is Event:
-                        if payload.cancelled:
-                            heappop(heap)
-                            self._dead -= 1
-                            continue
-                        heappop(heap)
-                        payload._sched = None
-                        callback = payload.callback
-                    else:
-                        heappop(heap)
-                        callback = payload
-                    self.events_executed += 1
-                    executed += 1
-                    callback()
-                continue
-            callback = payload.callback if is_event else payload
             heappop(heap)
             if is_event:
                 payload._sched = None
+                callback = payload.callback
+            else:
+                callback = payload
             self.now = event_time
             self.events_executed += 1
             executed += 1
-            # Wall-clock here profiles the *simulator itself*; see step().
-            wall_start = time.perf_counter()  # simlint: ok D-wallclock D-sim-pure
-            callback()
-            wall = time.perf_counter() - wall_start  # simlint: ok D-wallclock D-sim-pure
-            depth = None
-            if self.events_executed % sample_every == 0:
-                depth = len(heap)
-            tracer.record_callback(
-                event_time, callback_name(callback), wall, queue_depth=depth
-            )
-        if until is not None and self.now < until:
-            self.now = float(until)
-        return executed
-
-    def _run_stepped(self, until, max_events):
-        """Pre-fusion run loop over ``peek_time()``/``step()``.
-
-        Kept for instance-level ``step`` shadowing; executes the same
-        events in the same order as the fused loop.
-        """
-        executed = 0
-        while True:
-            if max_events is not None and executed >= max_events:
-                return executed
-            next_time = self.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self.now = float(until)
-                return executed
-            self.step()
-            executed += 1
+            if hook is None:
+                callback()
+            else:
+                hook(event_time, callback)
+            # Batched dispatch: while the next entries share this
+            # timestamp, drain them here without re-running the outer
+            # loop's limit compare and clock store — neither can change
+            # within one timestamp.  Heap pops stay one-per-event (ties
+            # are ordered by seq, which only the heap knows), but the
+            # per-event bookkeeping collapses to the cancellation check
+            # and the budget guard.  Events a callback schedules at this
+            # same timestamp carry larger seqs and are drained by this
+            # same loop, in order; events it cancels are still
+            # heap-resident and are skipped with exact dead-entry
+            # accounting.
+            while heap and heap[0][0] == event_time and executed < budget:
+                payload = heap[0][2]
+                if payload.__class__ is Event:
+                    if payload.cancelled:
+                        heappop(heap)
+                        self._dead -= 1
+                        continue
+                    heappop(heap)
+                    payload._sched = None
+                    callback = payload.callback
+                else:
+                    heappop(heap)
+                    callback = payload
+                self.events_executed += 1
+                executed += 1
+                if hook is None:
+                    callback()
+                else:
+                    hook(event_time, callback)
         if until is not None and self.now < until:
             self.now = float(until)
         return executed

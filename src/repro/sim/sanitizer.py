@@ -22,14 +22,15 @@ discrete-event system:
   (``dp_bytes_fluid + dp_bytes_packet == dp_bytes_total``, fleet-wide
   and per job).
 
-The sanitizer is opt-in and composable: ``attach()`` wraps one
-:class:`~repro.sim.engine.EventScheduler` instance's ``step`` (the run
-loop calls ``self.step()``, so instance-attribute shadowing is enough),
-``detach()`` restores it, and the class works as a context manager that
-runs a full :meth:`check` on clean exit.  Tests inject violations
+The sanitizer is opt-in and composable: ``attach()`` wraps the per-event
+hook of one :class:`~repro.sim.engine.EventScheduler` (the same hook a
+tracer observes through, so a traced run stays traced), ``detach()``
+puts back the hook it found, and the class works as a context manager
+that runs a full :meth:`check` on clean exit.  Tests inject violations
 (a leaked event, a cooked snapshot) and assert the sanitizer trips.
 """
 
+from repro.obs.trace import callback_name
 from repro.sim.engine import SimProcessError
 
 
@@ -51,41 +52,50 @@ class SimSanitizer:
         self.registry = registry
         self.checks_run = 0
         self._attached = False
-        self._orig_step = None
+        self._found_hook = None
         self._max_now_seen = scheduler.now
 
     # -- clock monotonicity ----------------------------------------------
 
     def attach(self):
-        """Wrap ``scheduler.step`` so every executed event checks the
-        clock; returns ``self`` for chaining."""
+        """Wrap the scheduler's per-event hook so every executed event
+        checks the clock; returns ``self`` for chaining."""
         if self._attached:
             return self
-        self._orig_step = self.scheduler.step
-        sanitizer = self
+        scheduler = self.scheduler
+        found = self._found_hook = scheduler._hook
+        # With nothing to wrap, end the chain in the tracer's hook: it
+        # reads ``scheduler.tracer`` per event, so a tracer attached
+        # after the sanitizer still records every callback.
+        inner = found or scheduler._trace_call  # simlint: ok L-private
 
-        def checked_step():
-            before = sanitizer.scheduler.now
-            progressed = sanitizer._orig_step()
-            now = sanitizer.scheduler.now
+        def checked(event_time, callback):
+            # Neither the event (vs. the high-water mark) nor its
+            # callback (vs. the event time) may move the clock back.
+            before = self._max_now_seen
+            if event_time > before:
+                before = event_time
+            inner(event_time, callback)
+            now = scheduler.now
             if now < before:
                 raise SanitizerError(
-                    "clock went backwards inside step(): %g -> %g"
-                    % (before, now)
+                    "clock went backwards: %g -> %g" % (before, now)
                 )
-            if now > sanitizer._max_now_seen:
-                sanitizer._max_now_seen = now
-            return progressed
+            self._max_now_seen = now
 
-        self.scheduler.step = checked_step
+        scheduler._hook = checked
         self._attached = True
         return self
 
     def detach(self):
-        """Restore the scheduler's original ``step``."""
+        """Put back the hook found by :meth:`attach` (detach observers in
+        reverse attach order)."""
         if self._attached:
-            del self.scheduler.step  # uncovers the class method
-            self._orig_step = None
+            scheduler = self.scheduler
+            scheduler._hook = self._found_hook
+            # A tracer attached or detached meanwhile re-derives its hook.
+            scheduler.set_tracer(scheduler.tracer)
+            self._found_hook = None
             self._attached = False
         return self
 
@@ -118,8 +128,6 @@ class SimSanitizer:
         leaked = self.scheduler.live_events()
         if not leaked:
             return
-        from repro.sim.engine import callback_name
-
         shown = ", ".join(
             "t=%g:%s" % (event.time, callback_name(event.callback))
             for event in leaked[:max_leaked_shown]

@@ -230,3 +230,17 @@ class TestCallbackName:
                 pass
 
         assert callback_name(Ticker()) == "Ticker"
+
+    def test_partial_unwraps_to_function_qualname(self):
+        from functools import partial
+
+        class Port:
+            def hop(self, a, b):
+                pass
+
+        bound = partial(Port().hop, 1)
+        assert callback_name(bound) == "%s.hop" % Port.__qualname__
+        bound.label = "inner"  # an instance dict stops partial flattening
+        nested = partial(bound, 2)
+        assert isinstance(nested.func, partial)
+        assert callback_name(nested) == "%s.hop" % Port.__qualname__

@@ -5,8 +5,8 @@ cancelled entries incrementally, compacts lazily when dead entries
 dominate, and fuses the run loop.  These tests pin the observable
 contract of all of that: execution order is unchanged, ``pending()`` is
 exact under heavy cancellation, the heap cannot grow unbounded with
-cancelled RTO-style timers, and instance-level ``step`` shadowing
-(SimSanitizer) still sees every event.
+cancelled RTO-style timers (traced or not), and the per-event hook that
+tracers and SimSanitizer observe through sees every event.
 """
 
 import pytest
@@ -44,22 +44,28 @@ class TestCancellationHeavy:
         assert sched.snapshot()["queue_len"] < 4000
         assert sched.snapshot()["queue_len"] >= 10
 
-    def test_traced_scheduler_never_compacts(self):
-        # Queue-depth samples are digest-bearing: with a tracer attached
-        # the heap must keep its historical shape (cancelled entries are
-        # only dropped when they surface at the heap head).
+    def test_traced_scheduler_compacts(self):
+        # A tracer only observes: the traced heap compacts exactly like
+        # the untraced one, and the survivors still run and get recorded.
+        recorded = []
+
         class _Tracer:
             enabled = True
 
             def record_callback(self, ts, name, wall, queue_depth=None):
-                pass
+                recorded.append(ts)
 
-        sched = EventScheduler(tracer=_Tracer())
-        events = [sched.schedule(10.0, lambda: None) for _ in range(4000)]
-        for event in events[:-10]:
-            event.cancel()
-        assert sched.snapshot()["queue_len"] == 4000
-        assert sched.pending() == 10
+        queue_lens = []
+        for tracer in (None, _Tracer()):
+            sched = EventScheduler(tracer=tracer)
+            events = [sched.schedule(10.0, lambda: None) for _ in range(4000)]
+            for event in events[:-10]:
+                event.cancel()
+            assert sched.pending() == 10
+            queue_lens.append(sched.snapshot()["queue_len"])
+            assert sched.run() == 10
+        assert queue_lens[0] == queue_lens[1] < 4000
+        assert recorded == [10.0] * 10
 
     def test_cancellation_heavy_workload_executes_survivors_in_order(self):
         sched = EventScheduler()
@@ -212,42 +218,50 @@ class TestRunStepEquivalence:
         assert fused.now == stepped.now
         assert fused.events_executed == stepped.events_executed
 
-    def test_step_shadow_intercepts_every_event(self):
-        # SimSanitizer instance-shadows step(); run() must detect the
-        # shadow and route every event through it.
+
+class TestPerEventHook:
+    def test_hook_sees_every_event(self):
+        # Observers (SimSanitizer, a tracer) sit in the per-event hook;
+        # every executed event — same-timestamp batches and bare
+        # schedule_call entries included — must pass through it.
         sched = EventScheduler()
         seen = []
-        original_step = sched.step
 
-        def shadow():
-            seen.append(sched.peek_time())
-            return original_step()
+        def observer(event_time, callback):
+            seen.append(event_time)
+            callback()
 
-        sched.step = shadow
+        sched._hook = observer
         fired = []
         for i in range(5):
             sched.schedule(i * 1e-6, lambda i=i: fired.append(i))
+        sched.schedule(2e-6, lambda: fired.append("tie"))
+        sched.schedule_call(3e-6, lambda: fired.append("bare"))
+        sched.schedule(4e-6, lambda: None).cancel()
         executed = sched.run()
-        assert executed == 5
-        assert fired == [0, 1, 2, 3, 4]
-        assert len(seen) == 5
+        assert executed == 7
+        assert fired == [0, 1, 2, "tie", 3, "bare", 4]
+        assert seen == [0.0, 1e-6, 2e-6, 2e-6, 3e-6, 3e-6, 4e-6]
 
-    def test_step_shadow_respects_until_and_budget(self):
+    def test_hook_respects_until_and_budget(self):
         sched = EventScheduler()
         calls = []
-        original_step = sched.step
 
-        def shadow():
-            calls.append(sched.now)
-            return original_step()
+        def observer(event_time, callback):
+            calls.append(event_time)
+            callback()
 
-        sched.step = shadow
+        sched._hook = observer
         for i in range(10):
             sched.schedule(i * 1.0, lambda: None)
+        sched.schedule(5.0, lambda: None)  # a tie the budget must split
         assert sched.run(until=4.5) == 5
         assert sched.now == 4.5
+        assert sched.run(max_events=1) == 1
+        assert sched.step() is True
         assert sched.run(max_events=2) == 2
-        assert len(calls) == 7
+        assert calls == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 6.0, 7.0]
+        assert sched.now == 7.0
 
 
 class TestPeekTime:

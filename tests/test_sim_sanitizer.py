@@ -3,26 +3,39 @@
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.sim import EventScheduler, SanitizerError, SimSanitizer
+
+
+def _hook(sched):
+    """The scheduler's per-event hook, which observers wrap."""
+    return sched._hook  # simlint: ok L-private
 
 
 class TestAttachDetach:
     def test_attach_wraps_and_detach_restores(self):
+        # attach() wraps the per-event hook it finds; detach() puts that
+        # hook back — None here, the tracer's hook below.
         sched = EventScheduler()
-        original_step = sched.step
         sanitizer = SimSanitizer(sched)
         assert sanitizer.attach() is sanitizer
-        assert sched.step is not original_step
+        assert _hook(sched) is not None
         sanitizer.detach()
-        assert sched.step.__func__ is EventScheduler.step
+        assert _hook(sched) is None
+
+        sched.set_tracer(Tracer())
+        traced = _hook(sched)
+        SimSanitizer(sched).attach().detach()
+        assert _hook(sched) == traced
 
     def test_attach_is_idempotent(self):
         sched = EventScheduler()
         sanitizer = SimSanitizer(sched).attach()
-        wrapped = sched.step
+        wrapped = _hook(sched)
         sanitizer.attach()
-        assert sched.step is wrapped
+        assert _hook(sched) is wrapped
         sanitizer.detach()
+        assert _hook(sched) is None
 
     def test_wrapped_scheduler_still_runs(self):
         sched = EventScheduler()
@@ -64,6 +77,53 @@ class TestClock:
         sched.schedule(1.0, rewind)
         with pytest.raises(SanitizerError, match="backwards"):
             sched.run()
+
+
+class TestTracerComposition:
+    """A tracer and a sanitizer share the per-event hook in any order."""
+
+    @staticmethod
+    def _workload(sched):
+        fired = []
+        for i in range(40):
+            sched.schedule((i % 7) * 1e-6, lambda i=i: fired.append(i))
+        sched.schedule_call(3e-6, lambda: fired.append("bare"))
+        return fired
+
+    @staticmethod
+    def _recorded(tracer):
+        return sum(1 for event in tracer.events if event.cat == "callback")
+
+    @pytest.mark.parametrize("tracer_first", [True, False])
+    def test_both_observe_every_event(self, tracer_first):
+        sched = EventScheduler()
+        tracer = Tracer()
+        sanitizer = SimSanitizer(sched)
+        if tracer_first:
+            sched.set_tracer(tracer)
+            sanitizer.attach()
+        else:
+            sanitizer.attach()
+            sched.set_tracer(tracer)
+        fired = self._workload(sched)
+        assert sched.run() == 41
+        assert len(fired) == 41
+        assert self._recorded(tracer) == 41  # every callback recorded
+
+        def rewind():
+            sched.now = -1.0
+
+        sched.schedule(1.0, rewind)
+        with pytest.raises(SanitizerError, match="backwards"):
+            sched.run()  # the clock is still checked
+        sched.now = 0.0
+
+        sanitizer.detach()
+        self._workload(sched)
+        assert sched.run() == 41
+        assert self._recorded(tracer) == 41 + 1 + 41  # tracing stays on
+        sched.set_tracer(None)
+        assert _hook(sched) is None
 
 
 class TestEventLeak:
