@@ -14,13 +14,14 @@ from repro.memory.address import (
     MisalignedAddressError,
     PhysicalMemoryMap,
     align_down,
+    align_down_array,
     align_up,
     page_count,
     page_index,
     page_span,
 )
-from repro.memory.caches import TranslationCache
-from repro.memory.iommu import AtsResult, Iommu, IommuDomain, IommuMode
+from repro.memory.caches import TranslationCache, lru_hit_mask
+from repro.memory.iommu import AtsBatch, AtsResult, Iommu, IommuDomain, IommuMode
 from repro.memory.mmu import MMU
 from repro.memory.page_table import PageFault, PageTable, PageTableEntry
 from repro.memory.pinning import PinError, PinManager, full_pin_seconds
@@ -34,11 +35,14 @@ __all__ = [
     "MisalignedAddressError",
     "PhysicalMemoryMap",
     "align_down",
+    "align_down_array",
     "align_up",
     "page_count",
     "page_index",
     "page_span",
     "TranslationCache",
+    "lru_hit_mask",
+    "AtsBatch",
     "AtsResult",
     "Iommu",
     "IommuDomain",

@@ -10,6 +10,8 @@ without the overhead of wrapper objects on every access.
 
 import enum
 
+import numpy as np
+
 
 class AddressSpace(enum.Enum):
     """The five address spaces of the virtualized memory hierarchy."""
@@ -52,6 +54,18 @@ def check_alignment(value, alignment, what="address"):
 def align_down(value, alignment):
     """Largest multiple of ``alignment`` that is <= ``value``."""
     return value - (value % alignment)
+
+
+def align_down_array(values, alignment):
+    """:func:`align_down` over an integer array.
+
+    Returns ``values`` itself, not a copy, when it is already aligned: the
+    page streams of the batched translation paths can be the largest
+    arrays in the process.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    offsets = values % alignment
+    return values - offsets if offsets.any() else values
 
 
 def align_up(value, alignment):

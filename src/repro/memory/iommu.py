@@ -6,10 +6,18 @@ devices (via their ATC) query.  Both the legacy VFIO framework and Stellar's
 PVDMA program mappings here; the difference is *when* and *how much*.
 """
 
+import collections
 import enum
 
+import numpy as np
+
 from repro import calibration
-from repro.memory.address import AddressSpace, align_down, check_alignment
+from repro.memory.address import (
+    AddressSpace,
+    align_down,
+    align_down_array,
+    check_alignment,
+)
 from repro.memory.caches import TranslationCache
 from repro.memory.page_table import PageFault
 from repro.memory.pinning import PinManager
@@ -46,6 +54,20 @@ class AtsResult:
             self.latency * 1e6,
             self.iotlb_hit,
         )
+
+
+#: What :meth:`Iommu.ats_translate_batch` returns.
+AtsBatch = collections.namedtuple("AtsBatch", "iotlb_hit latency replies")
+
+
+def _translate_pages(table, pages):
+    """Lists of the HPA page and owner kind of ``pages`` (0, None: unmapped)."""
+    intervals = table.intervals()
+    slot = table.locate(pages)  # -1, unmapped, reads the trailing sentinel
+    src = np.array([interval.src for interval in intervals] + [0], dtype=np.int64)
+    dst = np.array([interval.dst for interval in intervals] + [0], dtype=np.int64)
+    kinds = [interval.kind for interval in intervals] + [None]
+    return (dst[slot] + (pages - src[slot])).tolist(), [kinds[i] for i in slot.tolist()]
 
 
 class IommuDomain:
@@ -204,6 +226,51 @@ class Iommu:
             calibration.ATS_QUERY_SECONDS + calibration.IOTLB_WALK_SECONDS,
             calibration.ATS_QUERY_SECONDS,
         )
+
+    def ats_translate_batch(self, domain_name, das, reply_at=()):
+        """:meth:`ats_translate` over an array of device addresses, in order.
+
+        One exact LRU pass over the IOTLB (see :mod:`repro.memory.caches`)
+        and one vectorised interval lookup for its misses.  Returns an
+        :class:`AtsBatch`: per address, ``iotlb_hit`` and ``latency``
+        arrays, and ``replies``, the ``(hpa, kind)`` of each address indexed
+        by ``reply_at``.  The IOTLB ends as the per-address calls would leave
+        it.  A disabled ATS or a miss on an unmapped page raises the
+        :class:`PageFault` those calls would raise first, and then nothing
+        has changed.
+        """
+        das = np.asarray(das, dtype=np.int64)
+        reply_at = np.asarray(reply_at, dtype=np.int64)
+        if len(das) and not self.ats_enabled:
+            raise PageFault(int(das[0]), AddressSpace.DA, "ATS is disabled on this IOMMU")
+        pages = align_down_array(das, self.page_size)
+        replies = []
+
+        def fill(miss, keep):
+            table = self.domain(domain_name).table
+            mapped = table.locate(pages[miss]) >= 0
+            if not mapped.all():
+                raise PageFault(int(das[miss[np.argmin(mapped)]]), AddressSpace.DA,
+                                "DMA to unmapped page")
+            hpa_page, kind = _translate_pages(table, pages[reply_at])
+            if len(self.iotlb):
+                # A hit before its key's first miss in the batch answers from
+                # the entry the IOTLB held, as the per-address path does.
+                _, group = np.unique(pages, return_inverse=True)
+                first_miss = np.full(group.max() + 1, len(pages))
+                np.minimum.at(first_miss, group[miss], miss)
+                cached = np.flatnonzero(first_miss[group[reply_at]] > reply_at)
+                for i in cached.tolist():
+                    key = (domain_name, int(pages[reply_at[i]]))
+                    hpa_page[i], kind[i] = self.iotlb.peek(key)
+            offsets = (das[reply_at] - pages[reply_at]).tolist()
+            replies.extend(zip([hpa + off for hpa, off in zip(hpa_page, offsets)], kind))
+            return list(zip(*_translate_pages(table, pages[keep])))
+
+        hit = self.iotlb.access_batch(pages, fill, tag=domain_name)
+        hit_latency = calibration.ATS_QUERY_SECONDS
+        miss_latency = calibration.ATS_QUERY_SECONDS + calibration.IOTLB_WALK_SECONDS
+        return AtsBatch(hit, np.where(hit, hit_latency, miss_latency), replies)
 
     def __repr__(self):
         return "Iommu(mode=%s, domains=%d, %s)" % (

@@ -10,6 +10,8 @@ O(log n) lookups via bisect.
 
 import bisect
 
+import numpy as np
+
 from repro.memory.address import AddressError
 from repro.memory.page_table import PageFault
 
@@ -84,6 +86,17 @@ class RangeMap:
         """The :class:`Interval` covering ``address``, or ``None``."""
         i = self._index_for(address)
         return self._intervals[i] if i is not None else None
+
+    def locate(self, addresses):
+        """Vectorised :meth:`lookup`: per address, the index of its interval
+        in :meth:`intervals`, or -1 where nothing is mapped."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        starts = np.array(self._starts, dtype=np.int64)
+        ends = np.array([interval.src_end for interval in self._intervals], dtype=np.int64)
+        slot = np.searchsorted(starts, addresses, side="right") - 1
+        inside = slot >= 0
+        inside[inside] = addresses[inside] < ends[slot[inside]]
+        return np.where(inside, slot, -1)
 
     def is_mapped(self, address):
         return self._index_for(address) is not None

@@ -6,8 +6,10 @@ once 16 connections' worth of 4 KiB pages exceed the ATC, every access pays
 an ATS round trip, and past the IOTLB reach it also pays a table walk.
 """
 
+import numpy as np
+
 from repro import calibration
-from repro.memory.address import align_down
+from repro.memory.address import align_down, align_down_array
 from repro.memory.caches import TranslationCache
 
 
@@ -69,6 +71,35 @@ class DeviceAtc:
             False,
             result.iotlb_hit,
         )
+
+    def translate_batch(self, das):
+        """:meth:`translate` over an array of device addresses, in order.
+
+        One exact LRU pass over the ATC; its misses, in order, are the
+        stream of one :meth:`~repro.memory.iommu.Iommu.ats_translate_batch`
+        call.  Returns ``(atc_hit, iotlb_hit, latency)`` arrays holding the
+        per-address results' fields, and leaves both caches as the
+        per-address calls would.
+        """
+        pages = align_down_array(das, self.page_size)
+        replies = []
+
+        def fill(miss, keep):
+            at = np.searchsorted(miss, keep)
+            # An ATC that missed every access hands its stream on as is;
+            # neither index array is needed during the IOTLB pass.
+            stream = pages if len(miss) == len(pages) else pages[miss]
+            del miss
+            replies.append(self.iommu.ats_translate_batch(self.domain_name, stream, at))
+            return replies[0].replies
+
+        atc_hit = self.cache.access_batch(pages, fill)
+        iotlb_hit = atc_hit.copy()
+        latency = np.full(len(pages), calibration.ATC_HIT_SECONDS)
+        if replies:
+            iotlb_hit[~atc_hit] = replies[0].iotlb_hit
+            latency[~atc_hit] = calibration.ATC_HIT_SECONDS + replies[0].latency
+        return atc_hit, iotlb_hit, latency
 
     def invalidate_range(self, da, length):
         """Handle an ATS invalidation from the IOMMU (on unmap)."""

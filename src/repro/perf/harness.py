@@ -101,6 +101,8 @@ KERNELS = OrderedDict(
                    "warm-cache)"),
         KernelSpec("trace_replay", _kernels.trace_replay_kernel, 2,
                    "bundled MoE trace replayed on its 8-host ring"),
+        KernelSpec("fig8_translation", _kernels.fig8_translation_kernel, 2,
+                   "Fig. 8 ATS/ATC sweep, page translations (4+64 MiB smoke)"),
     ]
 )
 

@@ -33,6 +33,7 @@ from repro.workloads.fleet_bench import (
     run_fleet1024_smoke,
     run_fleet_smoke,
 )
+from repro.workloads.gdr_bench import AtcMissExperiment, default_gdr_sizes
 
 
 def scheduler_churn_kernel(smoke=False):
@@ -401,6 +402,27 @@ def fleet_1024_hybrid_kernel(smoke=False):
             "dp_bytes_packet": snap["dp_bytes_packet"],
             "sim_seconds": round(fleet.engine.now, 3),
         },
+    }
+
+
+def fig8_translation_kernel(smoke=False):
+    """Fig. 8 ATS/ATC sweep: every page translation of 16 round-robin GDR
+    connections through the RNIC's ATC and, on a miss, the IOMMU's IOTLB.
+
+    Events are page translations: per message size, one warm cycle plus
+    the capped measured window.  Smoke runs the 4 MiB point (past the ATC)
+    and the 64 MiB point (past the IOTLB too).
+    """
+    experiment = AtcMissExperiment()
+    sizes = [4 << 20, 64 << 20] if smoke else default_gdr_sizes()
+    rows = experiment.sweep(sizes)
+    events = 0
+    for size in sizes:
+        cycle = max(1, size // experiment.page_bytes) * experiment.connections
+        events += cycle + min(cycle, experiment.measure_cap_pages)
+    return {
+        "events": events,
+        "meta": {"points": len(sizes), "last_gbps": round(rows[-1].gbps, 3)},
     }
 
 

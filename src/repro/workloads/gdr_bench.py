@@ -8,7 +8,17 @@ access runs through the RNIC's real ATC (bounded LRU) and, on miss,
 through ATS into the IOMMU's real IOTLB.  The bandwidth knees at 2 MB and
 32 MB emerge from those two capacities — nothing is special-cased per
 message size.
+
+The page stream goes through ``DeviceAtc.translate_batch`` as one array:
+one exact LRU stack-distance pass per cache (see
+:mod:`repro.memory.caches`) instead of one Python call chain per page.
+The rows are bit-identical to the per-page loop, which
+``tests/test_workloads.py`` keeps as the oracle: the hit masks are the
+same, and the time and latency sums accumulate page by page in stream
+order (``np.cumsum``, not numpy's pairwise ``sum``).
 """
+
+import numpy as np
 
 from repro import calibration
 from repro.memory.address import MemoryKind
@@ -63,6 +73,10 @@ class AtcMissExperiment:
         ats_pipeline_depth=calibration.ATS_PIPELINE_DEPTH,
         measure_cap_pages=200_000,
     ):
+        for name, value in (("connections", connections), ("page_bytes", page_bytes),
+                            ("measure_cap_pages", measure_cap_pages)):
+            if value < 1:
+                raise ValueError("%s must be at least 1: %r" % (name, value))
         self.connections = connections
         self.page_bytes = page_bytes
         self.atc_capacity = atc_capacity
@@ -92,10 +106,9 @@ class AtcMissExperiment:
     def _access_stream(self, message_bytes):
         """Round-robin page addresses: one page per connection per turn."""
         pages_per_conn = max(1, message_bytes // self.page_bytes)
-        for page_index in range(pages_per_conn):
-            offset = page_index * self.page_bytes
-            for conn in range(self.connections):
-                yield conn * message_bytes + offset
+        offsets = np.arange(pages_per_conn, dtype=np.int64) * self.page_bytes
+        bases = np.arange(self.connections, dtype=np.int64) * message_bytes
+        return (offsets[:, None] + bases[None, :]).ravel()
 
     def measure(self, message_bytes):
         """Run one sweep point; returns a :class:`GdrSweepRow`.
@@ -103,36 +116,37 @@ class AtcMissExperiment:
         One full warm cycle populates the caches; the measurement window
         (capped for very large working sets — the pattern is cyclic, so a
         contiguous window is representative) accumulates per-page stalls.
+        Both run as one batched pass per cache; the rates come from the
+        window's part of the hit masks, and the sums accumulate page by
+        page in stream order.
         """
         iommu, atc = self._build(message_bytes)
-        for address in self._access_stream(message_bytes):
-            atc.translate(address)
-        atc.reset_counters()
-        iommu.iotlb.reset_counters()
+        stream = self._access_stream(message_bytes)
+        warm = len(stream)
+        pages = min(warm, self.measure_cap_pages)
+        # np.resize repeats the stream: the warm cycle, then the window.
+        stream = np.resize(stream, warm + pages)
+        atc_hit, iotlb_hit, latency = atc.translate_batch(stream)
+        # Free the caches' contents before the arithmetic below, so peak
+        # memory stays that of the per-page loop.
+        del iommu, atc, stream
+        atc_hit, iotlb_hit, latency = atc_hit[warm:], iotlb_hit[warm:], latency[warm:]
         wire_page = transfer_time(self.page_bytes, self.wire_rate)
-        total_time = 0.0
-        pcie_latency_sum = 0.0
-        pages_measured = 0
-        for address in self._access_stream(message_bytes):
-            result = atc.translate(address)
-            # On-chip ATC hits are fully pipelined; a miss stalls for the
-            # ATS round trip amortized over the outstanding-request window.
-            stall = (
-                0.0 if result.atc_hit
-                else result.latency / self.ats_pipeline_depth
-            )
-            total_time += wire_page + stall
-            pcie_latency_sum += result.latency
-            pages_measured += 1
-            if pages_measured >= self.measure_cap_pages:
-                break
-        rate = pages_measured * self.page_bytes * 8.0 / total_time
+        # On-chip ATC hits are fully pipelined; a miss stalls for the
+        # ATS round trip amortized over the outstanding-request window.
+        stall = np.where(atc_hit, 0.0, latency / self.ats_pipeline_depth)
+        total_time = float(np.cumsum(wire_page + stall)[-1])
+        pcie_latency_sum = float(np.cumsum(latency)[-1])
+        atc_hits = int(atc_hit.sum())
+        ats_replies = pages - atc_hits
+        iotlb_hits = int((iotlb_hit & ~atc_hit).sum())
+        rate = pages * self.page_bytes * 8.0 / total_time
         return GdrSweepRow(
             message_bytes,
             rate,
-            atc_hit_rate=atc.cache.hit_rate,
-            iotlb_hit_rate=iommu.iotlb.hit_rate,
-            avg_pcie_latency=pcie_latency_sum / pages_measured,
+            atc_hit_rate=atc_hits / pages,
+            iotlb_hit_rate=iotlb_hits / ats_replies if ats_replies else 0.0,
+            avg_pcie_latency=pcie_latency_sum / pages,
         )
 
     def sweep(self, sizes=None):

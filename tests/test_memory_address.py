@@ -1,5 +1,6 @@
 """Unit tests for address spaces, regions, and the physical memory map."""
 
+import numpy as np
 import pytest
 
 from repro.memory import (
@@ -10,6 +11,7 @@ from repro.memory import (
     MisalignedAddressError,
     PhysicalMemoryMap,
     align_down,
+    align_down_array,
     align_up,
     page_count,
     page_span,
@@ -24,6 +26,14 @@ def test_alignment_helpers():
     check_alignment(0x2000, 0x1000)
     with pytest.raises(MisalignedAddressError):
         check_alignment(0x2001, 0x1000)
+
+
+def test_align_down_array_matches_scalar_and_skips_aligned_copies():
+    values = np.array([0x1234, 0x2000, 0x1FFF], dtype=np.int64)
+    assert align_down_array(values, 0x1000).tolist() == [
+        align_down(int(v), 0x1000) for v in values]
+    aligned = np.array([0x1000, 0x3000], dtype=np.int64)
+    assert align_down_array(aligned, 0x1000) is aligned
 
 
 def test_page_span_covers_partial_pages():

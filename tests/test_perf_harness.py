@@ -100,8 +100,15 @@ class TestSuite:
             "scheduler_churn", "scheduler_cancel", "packet_fig9",
             "packet_fig11", "flight_overhead", "fluid_allreduce_512",
             "fleet_churn", "fleet_1024_churn", "fleet_1024_hybrid",
-            "runner_fanout", "trace_replay",
+            "runner_fanout", "trace_replay", "fig8_translation",
         }
+
+    def test_fig8_translation_kernel_counts_page_translations(self):
+        # Smoke: 4 MiB is 16 x 1024 pages, warm + full window; 64 MiB is
+        # 16 x 16384 pages warm, then the 200,000-page window.
+        out = KERNELS["fig8_translation"].fn(smoke=True)
+        assert out["events"] == 2 * 16 * 1024 + 16 * 16384 + 200_000
+        assert out["meta"]["points"] == 2
 
     def test_flight_overhead_kernel_modes_do_identical_work(self):
         # The overhead gate's correctness half: attaching a recorder to

@@ -4,6 +4,7 @@ import pytest
 
 from repro import calibration
 from repro.rnic import BaseRnic
+from repro.sim.units import transfer_time
 from repro.workloads import (
     AtcMissExperiment,
     PROFILES,
@@ -92,6 +93,82 @@ class TestAtcMissExperiment:
     def test_monotone_nonincreasing(self, sweep):
         rates = [r.rate for r in sweep]
         assert all(a >= b - 1e-6 for a, b in zip(rates, rates[1:]))
+
+
+def _per_page_measure(experiment, message_bytes):
+    """Oracle for ``AtcMissExperiment.measure``: the per-page loop it replaced.
+
+    Every page runs through ``DeviceAtc.translate`` one at a time, a warm
+    cycle and then the capped measured window.
+    """
+    iommu, atc = experiment._build(message_bytes)  # simlint: ok L-private
+
+    def access_stream():
+        pages_per_conn = max(1, message_bytes // experiment.page_bytes)
+        for page_index in range(pages_per_conn):
+            offset = page_index * experiment.page_bytes
+            for conn in range(experiment.connections):
+                yield conn * message_bytes + offset
+
+    for address in access_stream():
+        atc.translate(address)
+    atc.reset_counters()
+    iommu.iotlb.reset_counters()
+    wire_page = transfer_time(experiment.page_bytes, experiment.wire_rate)
+    total_time = 0.0
+    pcie_latency_sum = 0.0
+    pages_measured = 0
+    for address in access_stream():
+        result = atc.translate(address)
+        stall = (
+            0.0 if result.atc_hit
+            else result.latency / experiment.ats_pipeline_depth
+        )
+        total_time += wire_page + stall
+        pcie_latency_sum += result.latency
+        pages_measured += 1
+        if pages_measured >= experiment.measure_cap_pages:
+            break
+    return (
+        message_bytes,
+        pages_measured * experiment.page_bytes * 8.0 / total_time,
+        atc.cache.hit_rate,
+        iommu.iotlb.hit_rate,
+        pcie_latency_sum / pages_measured,
+    )
+
+
+def _row_fields(row):
+    return (row.message_bytes, row.rate, row.atc_hit_rate,
+            row.iotlb_hit_rate, row.avg_pcie_latency)
+
+
+class TestAtcMissBatchDifferential:
+    """The batched Fig 8 sweep equals the per-page loop, bit for bit."""
+
+    def _check(self, experiment, sizes):
+        for size in sizes:
+            assert _row_fields(experiment.measure(size)) == \
+                _per_page_measure(experiment, size)
+
+    def test_default_sizes(self):
+        self._check(AtcMissExperiment(), default_gdr_sizes())
+
+    @pytest.mark.parametrize("scale", [0.5, 2])
+    def test_ablation_atc_capacities(self, scale):
+        capacity = int(calibration.ATC_CAPACITY_PAGES * scale)
+        self._check(AtcMissExperiment(atc_capacity=capacity),
+                    [1 << 20, 2 << 20, 4 << 20, 8 << 20])
+
+    @pytest.mark.parametrize("cap", [1, 1000, 10**9])
+    def test_measure_caps(self, cap):
+        self._check(AtcMissExperiment(measure_cap_pages=cap),
+                    [64 * 1024, 4 << 20])
+
+    @pytest.mark.parametrize("field", ["connections", "page_bytes", "measure_cap_pages"])
+    def test_rejects_non_positive_arguments(self, field):
+        with pytest.raises(ValueError):
+            AtcMissExperiment(**{field: 0})
 
 
 class TestGdrDatapathCurve:
