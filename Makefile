@@ -8,7 +8,7 @@ install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m pytest tests/
 
 # Ruff when available (CI installs it); syntax-only fallback otherwise so
 # the target stays usable in the dependency-frozen container.
@@ -39,7 +39,7 @@ simlint-sarif:
 		--output simlint.sarif
 
 bench:
-	pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Fast seeded subset for CI: the 16-host fleet churn scenario plus the
 # Fig. 6 and Fig. 11 benchmarks with REPRO_BENCH_SMOKE trimming the
@@ -127,10 +127,11 @@ traces-smoke:
 		--workers 2 --no-cache --check-sequential
 
 tour:
-	$(PYTHON) -m repro
+	PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) -m repro
 
 examples:
-	@for ex in examples/*.py; do echo "== $$ex =="; $(PYTHON) $$ex; done
+	@for ex in examples/*.py; do echo "== $$ex =="; \
+		PYTHONPATH=src:$(PYTHONPATH) $(PYTHON) $$ex || exit 1; done
 
 all: test bench
 

@@ -16,7 +16,8 @@ measured per-GPU bandwidth is fed to
 iteration time.  Link failures (``repro.net.failure``) multiply a job's
 bandwidth by the fraction of its sprayed paths that survive — 128-way
 spray barely notices a dead uplink, a 4-path legacy transport loses up
-to a quarter of its ring.
+to a quarter of its ring.  A job's isolated baseline is the same fluid
+pricing with the job alone, no background load and no failed links.
 
 Epochs are priced at a configurable *fidelity*: the vectorized fluid
 solver everywhere (default), packet-level DES everywhere, or — the
@@ -24,6 +25,16 @@ hybrid engine — fluid steady state with bounded packet windows that a
 :class:`repro.cluster.fidelity.FidelityController` promotes around
 failures, loss injections, admission bursts and CC collapse, then
 demotes with hysteresis.  See EXPERIMENTS.md "Hybrid fidelity".
+
+Every epoch is priced on one path: the background load and its
+:class:`ContendedTopology` are built once, one fluid solve runs, and
+inside a promoted window one packet solve is seeded from the fluid fair
+shares.  No epoch is memoized: an epoch's inputs include its set of
+running jobs, and job indices never repeat.  What is reused across
+epochs depends on less — sprayed-ring plans, per-(job, failed links)
+ring penalties, the repeated-sum table of background loads — and what
+depends only on a job and its placement (DP volume, background draw
+counts) is computed once at admission and kept on the :class:`Job`.
 
 Everything is seeded; a fleet run is a pure function of
 ``(topology, hosts, arrivals, seed, fidelity)`` and double-runs
@@ -244,8 +255,9 @@ class FleetSimulation:
         #: counts as a fidelity trigger.
         self.active_losses = []
         self.loss_injections = 0
-        #: Packet events spent pricing promoted epochs (fresh solves
-        #: only; memoized epochs are free).
+        #: Packet events spent pricing promoted epochs: every
+        #: packet-priced epoch runs its own window, and all of their
+        #: events count.
         self.fidelity_pricing_events = 0
         #: DP-allreduce byte ledger, split by the regime that priced each
         #: iteration block.  fluid + packet == total is the cross-fidelity
@@ -263,30 +275,13 @@ class FleetSimulation:
         self.rate_epochs = 0
         self._starting = 0
         self._running = 0
-        #: Congestion-epoch memo: (failed links, running-job membership)
-        #: -> {job.index: iter_seconds} for the multi-host jobs.  A fresh
-        #: same-seed FluidSimulation is a pure function of those inputs,
-        #: so a repeat epoch (churn re-pricing the same fleet state) can
-        #: reuse the previous solve bit-for-bit — see _recompute_rates().
-        self._epoch_cache = {}
-        #: Cross-epoch reuse below the epoch cache, all bit-identical to
-        #: recomputation by construction: sprayed-ring plan rows shared
-        #: by every congestion-epoch FluidSimulation (the incidence
-        #: structure the ISSUE-9 vectorization exposes), per-(job,
-        #: placement) background draw counts plus the repeated-sum table
-        #: their loads collapse onto, and per-(job, failed-links) ring
-        #: penalties.
+        #: Cross-epoch reuse, bit-identical to recomputation by
+        #: construction: sprayed-ring plan rows shared by every fluid
+        #: solve, the repeated-sum table background loads collapse onto,
+        #: and per-(job, failed-links) ring penalties.
         self._plan_cache = {}
-        self._bg_counts = {}
         self._bg_partial_sums = [0.0]
         self._penalty_cache = {}
-        #: Promoted-epoch memo: (epoch key, active losses) -> (per-job
-        #: values, packet events, CC-collapsed flag).  Like the fluid
-        #: epoch cache, a packet epoch is a pure function of fleet state
-        #: and the fleet seed, so repeats inside one promoted window are
-        #: bit-identical replays.
-        self._packet_epoch_cache = {}
-        self._dp_volume_cache = {}
 
     # -- workload intake ---------------------------------------------------
 
@@ -401,6 +396,10 @@ class FleetSimulation:
                 per_host_seconds.get(host.name, 0.0) + cost
             )
         job.startup_seconds = max(per_host_seconds.values())
+        job.dp_volume = int(comm_volumes(
+            MODELS[spec.model], spec.strategy, spec.framework
+        ).dp)
+        job.background_counts = self._background_counts(job)
         job.iso_iter_seconds = self._isolated_iter_seconds(job)
         self._instant("job-start %s" % spec.name, {
             "tenant": spec.tenant,
@@ -461,14 +460,14 @@ class FleetSimulation:
         if self.trace_recorder is not None:
             self.trace_recorder.on_iteration_block(
                 now, job.spec.name, job.spec.strategy.dp, block,
-                seconds, job.dp_seconds or 0.0, self._dp_volume(job),
+                seconds, job.dp_seconds or 0.0, job.dp_volume,
             )
         # Cross-fidelity byte ledger: attribute the block's DP-allreduce
         # traffic, at block start, to the regime that priced it.  Exact
         # integer accounting — fluid + packet must equal total per job
         # and fleet-wide (SimSanitizer's conservation check).
         if len(job.unique_hosts()) >= 2:
-            volume = block * self._dp_volume(job)
+            volume = block * job.dp_volume
             job.dp_bytes_total += volume
             self.dp_bytes_total += volume
             if job.rate_fidelity == "packet":
@@ -599,8 +598,9 @@ class FleetSimulation:
         self._instant("fidelity-demote", {"window_start": start})
         self._record("fidelity-demote", window_start=start, window_end=end)
         # Demotion handoff: re-price immediately so the fleet leaves the
-        # window on fluid steady-state rates (usually an epoch-cache hit,
-        # i.e. bit-identical to the pre-window steady state).
+        # window on fluid steady-state rates.  A fresh fluid solve; with
+        # the fleet unchanged since the window opened it is bit-identical
+        # to the pre-window steady state.
         self._recompute_rates()
 
     def _auto_victim(self):
@@ -627,7 +627,7 @@ class FleetSimulation:
 
     # -- congestion epochs -------------------------------------------------
 
-    def failure_penalty(self, job):
+    def failure_penalty(self, job, failed_links=None):
         """Fraction of the job's ring bandwidth surviving failed links.
 
         The ring turns at its slowest member, so the penalty is set by the
@@ -635,8 +635,11 @@ class FleetSimulation:
         a failed link (``effective_loss_rate`` with 100% loss).  A 128-way
         spray spreads that share across every equivalent (plane, agg)
         choice; a 4-QP legacy transport concentrates it.
+        ``failed_links`` defaults to the fleet's current failures.
         """
-        if not self.failed_links:
+        if failed_links is None:
+            failed_links = self.failed_links
+        if not failed_links:
             return 1.0
         servers = [h.address for h in job.unique_hosts()]
         n = len(servers)
@@ -646,7 +649,7 @@ class FleetSimulation:
         # the penalty is a pure function of (job, failed-link set) —
         # memoize it across the repeated repricings of one failure window.
         key = (job.index, tuple(sorted(
-            (link.kind, link.key) for link in self.failed_links
+            (link.kind, link.key) for link in failed_links
         )))
         cached = self._penalty_cache.get(key)
         if cached is not None:
@@ -663,7 +666,7 @@ class FleetSimulation:
                         src, dst, rail, path_id=path_id,
                         connection_id=connection_id,
                     )
-                    if any(link in self.failed_links for link in route):
+                    if any(link in failed_links for link in route):
                         crossing += 1
                 share = effective_loss_rate(1.0, transport.path_count, crossing)
                 worst = max(worst, share)
@@ -672,18 +675,15 @@ class FleetSimulation:
         return penalty
 
     def _background_counts(self, job):
-        """Per-link draw counts of one job's background flows (memoized).
+        """Per-link draw counts of one job's background flows.
 
         Replays exactly the draws :meth:`StaticLoadModel.add_flow` would
         make for this job — same selectors, same ``RngStream`` seeds,
         same routes — but records draw *counts* instead of byte loads.
         Placement is fixed while a job runs, so the counts are a pure
-        function of (job, placement) and survive across epochs.
+        function of (job, placement): :meth:`_admit` computes them once
+        and keeps them on the job.
         """
-        key = (job.index, tuple(h.name for h in job.unique_hosts()))
-        counts = self._bg_counts.get(key)
-        if counts is not None:
-            return counts
         counts = {}
         total_bytes = self.background_gbps_per_host * 1e9 / 8 * _BG_DURATION
         draws = min(max(1, int(total_bytes // _BG_PACKET_BYTES)),
@@ -713,7 +713,6 @@ class FleetSimulation:
                 )
                 for link in route:
                     counts[link] = counts.get(link, 0) + 1
-        self._bg_counts[key] = counts
         return counts
 
     def _background_rates(self, running):
@@ -733,7 +732,7 @@ class FleetSimulation:
             return {}
         totals = {}
         for job in running:
-            for link, count in self._background_counts(job).items():
+            for link, count in job.background_counts.items():
                 totals[link] = totals.get(link, 0) + count
         if not totals:
             return {}
@@ -766,21 +765,6 @@ class FleetSimulation:
                     connection_base=job.index * CONNECTION_STRIDE)
         return task
 
-    def _per_gpu_bandwidth(self, job, task):
-        per_host_gpus = max(1.0, job.spec.gpus / len(job.unique_hosts()))
-        per_gpu = task.bus_bandwidth_bytes() * self.topology.rails / per_host_gpus
-        return max(per_gpu * self.failure_penalty(job), _MIN_DP_BANDWIDTH)
-
-    def _dp_volume(self, job):
-        """Per-rank DP-allreduce bytes (memoized; read every block)."""
-        volume = self._dp_volume_cache.get(job.index)
-        if volume is None:
-            volume = int(comm_volumes(
-                MODELS[job.spec.model], job.spec.strategy, job.spec.framework
-            ).dp)
-            self._dp_volume_cache[job.index] = volume
-        return volume
-
     def _iteration_breakdown(self, job, dp_bandwidth):
         return self.trainer.train(
             MODELS[job.spec.model],
@@ -794,9 +778,11 @@ class FleetSimulation:
     def _isolated_iter_seconds(self, job):
         """The job alone on a clean fabric — the slowdown baseline.
 
-        Also stashes the baseline's DP-allreduce share on the job
-        (``iso_dp_seconds``), which the trace recorder hook reads for
-        single-host jobs that never enter a congestion epoch.
+        Priced by the epoch pricer with the job alone, no background load
+        and no failed links.  Also stashes the baseline's DP-allreduce
+        share on the job (``iso_dp_seconds``), which the trace recorder
+        hook reads for single-host jobs that never enter a congestion
+        epoch.
         """
         if len(job.unique_hosts()) < 2:
             # Single-host ring: NVLink-assisted DP, no fabric traffic.
@@ -805,52 +791,36 @@ class FleetSimulation:
             )
             job.iso_dp_seconds = breakdown.dp
             return breakdown.total
-        sim = FluidSimulation(self.topology, dt=self.congestion_dt,
-                              seed=self.seed, plan_cache=self._plan_cache)
-        task = self._launch_ring(job, sim)
-        sim.run(duration=self.congestion_seconds)
-        per_host_gpus = max(1.0, job.spec.gpus / len(job.unique_hosts()))
-        per_gpu = max(
-            task.bus_bandwidth_bytes() * self.topology.rails / per_host_gpus,
-            _MIN_DP_BANDWIDTH,
-        )
-        breakdown = self._iteration_breakdown(job, per_gpu)
-        job.iso_dp_seconds = breakdown.dp
-        return breakdown.total
+        clean = ContendedTopology(self.topology, {})
+        total, job.iso_dp_seconds, _ = self._fluid_epoch_values(
+            clean, [job], failed_links=()
+        )[job.index]
+        return total
 
     def _recompute_rates(self):
         """One congestion epoch: reprice every running job's iteration.
 
-        The contended fluid solve is a pure function of (failed links,
-        running-job membership and placement): the FluidSimulation is
-        built fresh with the fleet seed, every RngStream it feeds is
-        derived from job specs, and the trainer is stateless.  Repeat
-        epochs — churny fleets constantly re-price the same steady state
-        between arrivals — therefore reuse the memoized per-job
-        iteration times instead of re-running the whole solve; cached
-        values are bit-identical to recomputation by construction.
+        The background load and its contended topology are built once;
+        one fluid solve prices every multi-host job, and inside a
+        promoted window one packet solve, seeded from the fluid fair
+        shares, replaces its values.  Both solves are pure functions of
+        (failed links, active losses, running jobs and their placement,
+        fleet seed), so a run is repeatable without memoizing any epoch.
         """
         self.rate_epochs += 1
         running = [job for job in self.jobs if job.state is JobState.RUNNING]
         multi = [job for job in running if len(job.unique_hosts()) >= 2]
         if multi:
-            epoch_key = (
-                tuple(sorted(
-                    (link.kind, link.key) for link in self.failed_links
-                )),
-                tuple(
-                    (job.index, tuple(h.name for h in job.unique_hosts()))
-                    for job in running
-                ),
+            contended = ContendedTopology(
+                self.topology, self._background_rates(running)
             )
-            fluid = self._fluid_epoch_values(running, multi, epoch_key)
+            values = self._fluid_epoch_values(
+                contended, multi, self.failed_links
+            )
+            regime = "fluid"
             if self.fidelity.active(self.engine.now):
-                values = self._packet_epoch_values(
-                    running, multi, epoch_key, fluid
-                )
+                values = self._packet_epoch_values(contended, multi, values)
                 regime = "packet"
-            else:
-                values, regime = fluid, "fluid"
             for job in multi:
                 entry = values[job.index]
                 job.iter_seconds = entry[0]
@@ -869,58 +839,31 @@ class FleetSimulation:
         self._record("congestion-epoch", running=self._running,
                      links_down=len(self.failed_links))
 
-    def _fluid_epoch_values(self, running, multi, epoch_key):
-        """The fluid solve for one epoch: {job.index: (iter, dp, bw)}.
+    def _fluid_epoch_values(self, topology, jobs, failed_links):
+        """One fluid solve: {job.index: (iter, dp, per-GPU bandwidth)}.
 
-        Computed exactly as before the hybrid engine existed (same task
-        launch order, same float sequence) and memoized per epoch key;
-        the per-GPU bandwidth rides along as the third element so packet
+        Launches every ring in ``jobs`` onto one fresh same-seed
+        :class:`FluidSimulation` over ``topology`` and scales each ring's
+        bus bandwidth by its survival share under ``failed_links``.  The
+        per-GPU bandwidth rides along as the third element so packet
         windows can seed their CC contexts from the fluid fair share.
         """
-        cached = self._epoch_cache.get(epoch_key)
-        if cached is None:
-            contended = ContendedTopology(
-                self.topology, self._background_rates(running)
-            )
-            sim = FluidSimulation(contended, dt=self.congestion_dt,
-                                  seed=self.seed,
-                                  plan_cache=self._plan_cache)
-            tasks = []
-            for job in multi:
-                tasks.append((job, self._launch_ring(job, sim)))
-            sim.run(duration=self.congestion_seconds)
-            cached = {}
-            for job, task in tasks:
-                per_gpu = self._per_gpu_bandwidth(job, task)
-                breakdown = self._iteration_breakdown(job, per_gpu)
-                cached[job.index] = (breakdown.total, breakdown.dp, per_gpu)
-            self._epoch_cache[epoch_key] = cached
-        return cached
-
-    def _packet_epoch_values(self, running, multi, epoch_key, fluid_values):
-        """Price a promoted epoch at packet granularity (memoized).
-
-        The memo key extends the fluid epoch key with the active loss
-        injections — loss is invisible to the fluid solver but very much
-        visible to a packet window.  A solve that left any flow's CC
-        window at its floor re-fires the ``cc-collapse`` trigger (on
-        cache hits too, so replayed epochs extend windows identically).
-        """
-        loss_key = tuple(sorted(
-            (link.kind, link.key, rate) for link, rate in self.active_losses
-        ))
-        key = (epoch_key, loss_key)
-        cached = self._packet_epoch_cache.get(key)
-        if cached is None:
-            cached = self._solve_packet_epoch(running, multi, fluid_values)
-            self._packet_epoch_cache[key] = cached
-            self.fidelity_pricing_events += cached[1]
-        values, _events, collapsed = cached
-        if collapsed:
-            self._fidelity_trigger("cc-collapse")
+        sim = FluidSimulation(topology, dt=self.congestion_dt,
+                              seed=self.seed, plan_cache=self._plan_cache)
+        tasks = [(job, self._launch_ring(job, sim)) for job in jobs]
+        sim.run(duration=self.congestion_seconds)
+        values = {}
+        for job, task in tasks:
+            per_host_gpus = max(1.0, job.spec.gpus / len(job.unique_hosts()))
+            per_gpu = (task.bus_bandwidth_bytes() * self.topology.rails
+                       / per_host_gpus)
+            per_gpu = max(per_gpu * self.failure_penalty(job, failed_links),
+                          _MIN_DP_BANDWIDTH)
+            breakdown = self._iteration_breakdown(job, per_gpu)
+            values[job.index] = (breakdown.total, breakdown.dp, per_gpu)
         return values
 
-    def _solve_packet_epoch(self, running, multi, fluid_values):
+    def _packet_epoch_values(self, topology, multi, fluid_values):
         """One packet-level DES window over every multi-host DP ring.
 
         Promotion handoff: each ring edge's :class:`WindowCC` opens at
@@ -931,16 +874,16 @@ class FleetSimulation:
         penalty — and active loss injections drop packets at their real
         rate.  The measured goodput is the ring's slowest edge over the
         window, scaled exactly like the fluid treatment (rail-0 ring
-        times ``rails``, divided across the host's GPUs).
+        times ``rails``, divided across the host's GPUs).  The window's
+        events add to ``fidelity_pricing_events``, and a window that left
+        any flow's CC window at its floor fires the ``cc-collapse``
+        trigger.
         """
-        contended = ContendedTopology(
-            self.topology, self._background_rates(running)
-        )
         # Untraced and flightless on purpose: the pricing sim has its own
         # 0-based clock, and like the fluid epochs it is an inner solver —
         # fleet-level records (fidelity-promote/demote, congestion-epoch)
         # carry the observability.
-        psim = PacketNetSim(contended, seed=self.seed)
+        psim = PacketNetSim(topology, seed=self.seed)
         for link in self.failed_links:
             psim.inject_loss(link, 1.0)
         for link, rate in self.active_losses:
@@ -993,7 +936,10 @@ class FleetSimulation:
             for flow in flows:
                 if flow.conn.cc.window <= flow.conn.cc.min_window:
                     collapsed = True
-        return (values, psim.scheduler.events_executed, collapsed)
+        self.fidelity_pricing_events += psim.scheduler.events_executed
+        if collapsed:
+            self._fidelity_trigger("cc-collapse")
+        return values
 
     # -- working-set sampling ----------------------------------------------
 

@@ -105,6 +105,8 @@ class Job:
         self.hosts = []              # one FleetHost per container, ring order
         self.containers = []         # RunDContainer per placement slot
         self.touch_pages = {}        # container name -> sampled GPA pages
+        self.dp_volume = None        # per-rank DP-allreduce bytes/iteration
+        self.background_counts = {}  # link -> background-flow draws
         self.iterations_done = 0
         #: ``(sim time, iterations in block, seconds/iteration, penalty)``
         #: — the series the failure/recovery assertions read.

@@ -205,3 +205,49 @@ class TestHybridParityAndDeterminism:
         report = check_fleet_determinism(seeds=(17, 23), runs=2,
                                          scenario="hybrid")
         assert report.ok, report.describe()
+
+
+class TestLossInjection:
+    """``inject_loss`` end to end: a loss window opens, clears and re-prices.
+
+    At hybrid fidelity the loss window re-prices a fleet whose running
+    set has not changed since its last epoch, so this also locks that a
+    repeated epoch prices exactly like the first one.
+    """
+
+    @staticmethod
+    def _run(fidelity):
+        registry = MetricsRegistry("loss-inject")
+        fleet = build_churn_fleet(seed=23, fidelity=fidelity,
+                                  registry=registry)
+        fleet.inject_loss(at=60.0, duration=20.0, loss=0.05)
+        result = fleet.run()
+        return fleet, result, registry
+
+    @pytest.mark.parametrize("fidelity", ["fluid", "hybrid", "packet"])
+    def test_loss_window_opens_clears_and_repeats(self, fidelity):
+        outcomes = []
+        for _ in range(2):
+            fleet, result, registry = self._run(fidelity)
+            assert fleet.loss_injections == 1
+            assert fleet.active_losses == []
+            assert fleet.fidelity.trigger_counts["loss-inject"] == 2
+            assert (fleet.dp_bytes_fluid + fleet.dp_bytes_packet
+                    == fleet.dp_bytes_total)
+            for job in fleet.jobs:
+                assert (job.dp_bytes_fluid + job.dp_bytes_packet
+                        == job.dp_bytes_total), job.spec.name
+            SimSanitizer(fleet.engine, registry).check_conservation(
+                drained=True
+            )
+            if fidelity == "fluid":
+                assert fleet.dp_bytes_packet == 0
+            else:
+                assert fleet.dp_bytes_packet > 0
+            outcomes.append((
+                result.rows(),
+                [(job.iso_iter_seconds, job.iteration_log)
+                 for job in fleet.jobs],
+                fleet.snapshot(),
+            ))
+        assert outcomes[0] == outcomes[1]
