@@ -172,9 +172,11 @@ def ensure_probe():
     """Run the canned full-stack telemetry probe once; return its result."""
     global _PROBE
     if _PROBE is None:
+        from repro.obs import FlightRecorder, Tracer
         from repro.obs.probe import run_probe
 
-        _PROBE = run_probe()
+        _PROBE = run_probe(tracer=Tracer("repro-telemetry-probe"),
+                           flight=FlightRecorder())
     return _PROBE
 
 
@@ -221,11 +223,12 @@ TOURS = {
 def export_telemetry(args):
     """Handle --trace/--metrics/--timeseries by running the probe and
     writing its artifacts."""
-    from repro.obs import write_chrome_trace, write_metrics_json
+    from repro.obs import write_metrics_json, write_perfetto_trace
 
     probe = ensure_probe()
     if args.trace:
-        count = write_chrome_trace(probe.tracer, args.trace)
+        count = write_perfetto_trace(args.trace, tracer=probe.tracer,
+                                     flight=probe.flight)
         print("trace: %d events -> %s (open in https://ui.perfetto.dev)"
               % (count, args.trace))
     if args.metrics:

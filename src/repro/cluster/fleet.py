@@ -330,11 +330,6 @@ class FleetSimulation:
 
     # -- event handlers ----------------------------------------------------
 
-    def _instant(self, name, args=None):
-        if self.tracer is not None:
-            self.tracer.instant(name, self.engine.now, track="fleet",
-                                cat="cluster", args=args)
-
     def _record(self, kind, entity=None, severity="info", **payload):
         if self.flight is not None:
             self.flight.record(self.engine.now, "cluster", kind,
@@ -351,7 +346,6 @@ class FleetSimulation:
         job.index = len(self.jobs)
         self.jobs.append(job)
         self.jobs_submitted += 1
-        self._instant("job-submit %s" % spec.name, {"tenant": spec.tenant})
         ring = None
         if not self.scheduler.queue:  # FIFO: no overtaking the queue head
             ring = self.scheduler.place(spec)
@@ -401,11 +395,6 @@ class FleetSimulation:
         ).dp)
         job.background_counts = self._background_counts(job)
         job.iso_iter_seconds = self._isolated_iter_seconds(job)
-        self._instant("job-start %s" % spec.name, {
-            "tenant": spec.tenant,
-            "hosts": len(per_host_seconds),
-            "startup_s": round(job.startup_seconds, 3),
-        })
         self._record("job-admit", entity="job:%s" % spec.name,
                      tenant=spec.tenant, hosts=len(per_host_seconds),
                      startup_s=round(job.startup_seconds, 6))
@@ -505,10 +494,6 @@ class FleetSimulation:
         job.state = state
         job.end_time = self.engine.now
         self._running -= 1
-        self._instant("job-%s %s" % (state.value, job.spec.name), {
-            "tenant": job.spec.tenant,
-            "iterations": job.iterations_done,
-        })
         self._record(
             "job-abort" if abnormal else "job-complete",
             entity="job:%s" % job.spec.name,
@@ -532,7 +517,6 @@ class FleetSimulation:
             link = self._auto_victim()
         self.failed_links.append(link)
         self.link_failures += 1
-        self._instant("link-fail", {"link": str(link)})
         self._record("link-fail", entity=str(link), severity="error",
                      duration=duration)
         self._fidelity_trigger("link-fail", entity=str(link))
@@ -542,7 +526,6 @@ class FleetSimulation:
     def _on_link_heal(self, link):
         if link in self.failed_links:
             self.failed_links.remove(link)
-        self._instant("link-heal", {"link": str(link)})
         self._record("link-heal", entity=str(link))
         self._fidelity_trigger("link-heal", entity=str(link))
         self._recompute_rates()
@@ -552,7 +535,6 @@ class FleetSimulation:
             link = self._auto_victim()
         self.active_losses.append((link, loss))
         self.loss_injections += 1
-        self._instant("loss-inject", {"link": str(link), "loss": loss})
         self._record("loss-inject", entity=str(link), severity="warn",
                      loss=loss, duration=duration)
         self._fidelity_trigger("loss-inject", entity=str(link))
@@ -562,7 +544,6 @@ class FleetSimulation:
     def _on_loss_end(self, link, loss):
         if (link, loss) in self.active_losses:
             self.active_losses.remove((link, loss))
-        self._instant("loss-clear", {"link": str(link)})
         self._record("loss-clear", entity=str(link))
         self._fidelity_trigger("loss-inject", entity=str(link))
         self._recompute_rates()
@@ -582,8 +563,6 @@ class FleetSimulation:
         if action is None:
             return
         release = ctl.release_time()
-        self._instant("fidelity-%s" % action,
-                      {"trigger": kind, "release": release})
         self._record("fidelity-%s" % action, entity=entity,
                      severity="warn" if action == "promote" else "info",
                      trigger=kind, release=release)
@@ -595,7 +574,6 @@ class FleetSimulation:
         if not ctl.note_demotion(self.engine.now):
             return  # extended since; a later callback is armed
         start, end, _closed_at = ctl.windows[-1]
-        self._instant("fidelity-demote", {"window_start": start})
         self._record("fidelity-demote", window_start=start, window_end=end)
         # Demotion handoff: re-price immediately so the fleet leaves the
         # window on fluid steady-state rates.  A fresh fluid solve; with

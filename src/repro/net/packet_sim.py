@@ -829,11 +829,6 @@ class MessageFlow:
         if seq not in self._outstanding:
             return
         self.rto_count += 1
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "flow.rto", self.sim.now, track="flows",
-                args={"flow": repr(self.flow_id), "seq": seq, "path": path},
-            )
         flight = self.sim.flight
         if flight is not None:
             flight.record(

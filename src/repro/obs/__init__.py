@@ -5,14 +5,14 @@ on both to diagnose the Figure 8 regressions):
 
 * :mod:`repro.obs.metrics` — ``Counter``/``Gauge``/``Histogram``
   instruments and snapshot providers in a :class:`MetricsRegistry`;
-* :mod:`repro.obs.trace` — sim-time span/instant/counter events with
-  Chrome trace-event (Perfetto) export and a zero-overhead
-  :class:`NullTracer`;
+* :mod:`repro.obs.trace` — sim-time callback, flow-span and counter
+  events as Chrome trace-event (Perfetto) records;
 * :mod:`repro.obs.sampler` — fixed-cadence gauge sampling (the Figure
   9/10 time series) with JSON/CSV dumps;
-* :mod:`repro.obs.export` — file writers and trace validation;
-* :mod:`repro.obs.flight` — the bounded flight recorder of structured
-  rare events (retransmits, link failures, job aborts, churn);
+* :mod:`repro.obs.export` — file writers and trace validation; one
+  trace writer merges tracer, sampler and flight recorder;
+* :mod:`repro.obs.flight` — the bounded flight recorder, the one log of
+  discrete events (retransmits, link failures, job aborts, churn);
 * :mod:`repro.obs.slo` — per-entity SLO trackers and the
   fault -> affected -> impact -> recovery incident builder;
 * :mod:`repro.obs.probe` — the canned full-stack run behind
@@ -24,7 +24,6 @@ from repro.obs.export import (
     load_chrome_trace,
     metrics_document,
     perfetto_document,
-    write_chrome_trace,
     write_metrics_csv,
     write_metrics_json,
     write_perfetto_trace,
@@ -51,13 +50,12 @@ from repro.obs.metrics import (
     set_registry,
 )
 from repro.obs.sampler import TimeSeriesSampler
-from repro.obs.trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
+from repro.obs.trace import TraceEvent, Tracer
 
 __all__ = [
     "load_chrome_trace",
     "metrics_document",
     "perfetto_document",
-    "write_chrome_trace",
     "write_metrics_csv",
     "write_metrics_json",
     "write_perfetto_trace",
@@ -80,8 +78,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "TimeSeriesSampler",
-    "NULL_TRACER",
-    "NullTracer",
     "TraceEvent",
     "Tracer",
 ]

@@ -2,23 +2,18 @@
 
 The trace file loads directly in https://ui.perfetto.dev or
 ``chrome://tracing``; the metrics JSON is the Neohost-style dump the
-acceptance experiments diff.  :func:`write_perfetto_trace` merges the
-event tracer, the time-series sampler, and the flight recorder into one
-trace: sampled series render as counter tracks, flight events as instant
-markers plus a running severity counter.
+acceptance experiments diff.  :func:`write_perfetto_trace` is the one
+trace writer: it merges the event tracer, the time-series sampler and
+the flight recorder into one document, with sampled series as counter
+tracks and flight events — the run's discrete events, each logged once
+— as instant markers plus a running severity counter.  Any of the three
+may be ``None``.
 """
 
 import csv
 import json
 
 _SEVERITY_SCOPE = "t"  # instant-event scope: thread
-
-
-def write_chrome_trace(tracer, path):
-    """Write ``tracer`` as ``{"traceEvents": [...]}``; returns event count."""
-    with open(path, "w") as handle:
-        json.dump(tracer.to_chrome(), handle)
-    return len(tracer)
 
 
 def perfetto_document(tracer=None, sampler=None, flight=None):
@@ -48,10 +43,10 @@ def perfetto_document(tracer=None, sampler=None, flight=None):
 
     if sampler is not None and sampler.samples:
         tid = add_track("sampled counters")
-        for name in sampler.columns():
-            for t, values in sampler.samples:
-                if name not in values:
-                    continue
+        # Time-major: every column shares this tid, so the samples must
+        # come out in time order, not one column after another.
+        for t, values in sampler.samples:
+            for name in sorted(values):
                 events.append({
                     "name": name, "cat": "counter", "ph": "C",
                     "ts": t * 1e6, "pid": 1, "tid": tid,

@@ -4,9 +4,11 @@ The operational analog of an aircraft flight recorder: every layer of
 the stack reports its rare-but-diagnostic moments — retransmits,
 path-down/up transitions, CC window collapses, admission rejects, job
 aborts, congestion-epoch repricing, container churn — as typed,
-plain-data events stamped with **simulated** time.  The buffer is
-bounded (oldest events evict first) so it is cheap enough to leave on
-for an entire fleet run, and everything in it is canonically
+plain-data events stamped with **simulated** time.  It is the only log
+of discrete simulation events: the tracer (:mod:`repro.obs.trace`) keeps
+callbacks, flow spans and counters, and restates none of these.  The
+buffer is bounded (oldest events evict first) so it is cheap enough to
+leave on for an entire fleet run, and everything in it is canonically
 JSON-serializable, so the log exports as JSON lines or Perfetto instant
 tracks (:func:`repro.obs.export.write_perfetto_trace`) and digests into
 the determinism harness (:func:`FlightRecorder.digest`).
@@ -71,16 +73,14 @@ class FlightRecorder:
     """Bounded, always-ordered ring buffer of :class:`FlightEvent`.
 
     ``capacity`` bounds memory; once full, the oldest event is evicted
-    per append and counted in :attr:`dropped`.  ``enabled=False`` turns
-    ``record()`` into a counter-free no-op without detaching the
-    recorder from its components.
+    per append and counted in :attr:`dropped`.  Components with no
+    recorder hold ``flight = None``.
     """
 
-    def __init__(self, capacity=_DEFAULT_CAPACITY, enabled=True):
+    def __init__(self, capacity=_DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("flight capacity must be positive: %r" % capacity)
         self.capacity = capacity
-        self.enabled = enabled
         self._events = deque(maxlen=capacity)
         self.recorded = 0
         self.dropped = 0
@@ -89,13 +89,11 @@ class FlightRecorder:
     # -- recording -------------------------------------------------------
 
     def record(self, t, layer, kind, entity=None, severity="info", **payload):
-        """Append one event at sim time ``t``; returns the event or None.
+        """Append one event at sim time ``t``; returns the event.
 
         ``payload`` keys must be plain data — the JSONL/Perfetto export
         and the determinism digest both canonicalize them.
         """
-        if not self.enabled:
-            return None
         if severity not in self._severity_counts:
             raise ValueError(
                 "unknown severity %r (have %s)"
@@ -165,7 +163,6 @@ class FlightRecorder:
             "dropped": self.dropped,
             "buffered": len(self._events),
             "capacity": self.capacity,
-            "enabled": self.enabled,
         }
         for name, count in self._severity_counts.items():
             snap["severity.%s" % name] = count

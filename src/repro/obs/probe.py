@@ -18,7 +18,6 @@ from repro.core import StellarHost  # simlint: ok L-layer
 from repro.net import DualPlaneTopology, MessageFlow, PacketNetSim, ServerAddress, run_flows  # simlint: ok L-layer
 from repro.obs.metrics import get_registry
 from repro.obs.sampler import TimeSeriesSampler
-from repro.obs.trace import Tracer
 from repro.rnic import connect_qps  # simlint: ok L-layer
 from repro.sim.units import GiB, KiB, MiB
 
@@ -66,9 +65,10 @@ class ProbeResult:  # simlint: ok L-api-drift
         return reports
 
     def __repr__(self):
-        return "ProbeResult(%d flows, %d metrics, %d trace events)" % (
-            len(self.flow_results), len(self.registry.snapshot()),
-            len(self.tracer),
+        traced = "untraced" if self.tracer is None else (
+            "%d trace events" % len(self.tracer))
+        return "ProbeResult(%d flows, %d metrics, %s)" % (
+            len(self.flow_results), len(self.registry.snapshot()), traced,
         )
 
 
@@ -78,11 +78,10 @@ def run_probe(registry=None, tracer=None, seed=17,
               fleet=True, flight=None):
     """Run the canned full-stack telemetry workload; returns ProbeResult.
 
-    ``registry``/``tracer`` default to the process-wide registry and a
-    fresh :class:`Tracer`; pass fresh instances for isolated runs.
+    ``registry`` defaults to the process-wide registry; pass a fresh one
+    for isolated runs.  ``tracer`` and ``flight`` are off when ``None``.
     """
     registry = registry if registry is not None else get_registry()
-    tracer = tracer if tracer is not None else Tracer("repro-telemetry-probe")
 
     # -- host leg: vStellar RDMA over the PCIe fabric ---------------------
     host = StellarHost.build(

@@ -1,4 +1,4 @@
-"""Sim-time event tracing with Chrome trace-event (Perfetto) export.
+"""Sim-time event tracing as Chrome trace-event (Perfetto) records.
 
 Timestamps are **simulation** time converted to microseconds — load the
 exported JSON in https://ui.perfetto.dev (or ``chrome://tracing``) and the
@@ -7,11 +7,15 @@ callbacks rides along in event ``args`` and in an aggregated per-callback
 table (:meth:`Tracer.self_profile`), since a sim that is slow in *wall*
 time at some *sim* instant is exactly what the profiler must surface.
 
-When tracing is off, components hold ``tracer = None`` (or the shared
-:data:`NULL_TRACER`) and hot paths pay a single ``is not None`` test.
+The tracer holds scheduler callbacks, async flow spans, counter series
+and the per-packet ``packet.drop`` instant.  Rare discrete events
+(retransmits, link faults, job admits and aborts) go to the flight
+recorder (:mod:`repro.obs.flight`) instead, once;
+:func:`repro.obs.export.write_perfetto_trace` merges both into one file.
+When tracing is off, components hold ``tracer = None`` and hot paths pay
+a single ``is not None`` test.
 """
 
-import json
 from functools import partial
 
 
@@ -66,8 +70,6 @@ class TraceEvent:
 
 class Tracer:
     """Collects sim-time trace events for one run."""
-
-    enabled = True
 
     def __init__(self, process_name="repro-sim"):
         self.process_name = process_name
@@ -193,12 +195,6 @@ class Tracer:
         )
         return {"traceEvents": records, "displayTimeUnit": "ms"}
 
-    def export(self, path):
-        """Write the Chrome trace JSON; returns the event count."""
-        with open(path, "w") as handle:
-            json.dump(self.to_chrome(), handle)
-        return len(self.events)
-
     def clear(self):
         self.events = []
         self._open_spans.clear()
@@ -209,64 +205,6 @@ class Tracer:
 
     def __repr__(self):
         return "Tracer(%d events, %d tracks)" % (len(self.events), len(self._tracks))
-
-
-class NullTracer:
-    """Do-nothing stand-in with the full :class:`Tracer` surface.
-
-    Components that want unconditional ``self.tracer.instant(...)`` calls
-    can hold this instead of branching; the scheduler's hot loop still
-    normalizes it to ``None`` so disabled runs pay nothing per event.
-    """
-
-    enabled = False
-    events = ()
-
-    def track(self, name):
-        return 0
-
-    def complete(self, *args, **kwargs):
-        pass
-
-    def instant(self, *args, **kwargs):
-        pass
-
-    def counter(self, *args, **kwargs):
-        pass
-
-    def begin(self, *args, **kwargs):
-        pass
-
-    def end(self, *args, **kwargs):
-        pass
-
-    def async_begin(self, *args, **kwargs):
-        pass
-
-    def async_end(self, *args, **kwargs):
-        pass
-
-    def record_callback(self, *args, **kwargs):
-        pass
-
-    def self_profile(self):
-        return {}
-
-    def to_chrome(self):
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def clear(self):
-        pass
-
-    def __len__(self):
-        return 0
-
-    def __repr__(self):
-        return "NullTracer()"
-
-
-#: Shared no-op tracer for "tracing off" defaults.
-NULL_TRACER = NullTracer()
 
 
 def callback_name(callback):

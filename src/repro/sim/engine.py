@@ -98,16 +98,13 @@ class EventScheduler:
     def set_tracer(self, tracer):
         """Attach a :class:`repro.obs.trace.Tracer` (or ``None`` to detach).
 
-        Disabled tracers (``NULL_TRACER``) normalize to ``None``.  The
-        tracer observes through the per-event hook: when no other
+        The tracer observes through the per-event hook: when no other
         observer (a ``SimSanitizer``) has wrapped it, the hook is
         :meth:`_trace_call` or ``None``; an observer's chain ends in
         :meth:`_trace_call`, which reads ``self.tracer`` per event.
         Attach tracers between ``run()`` calls — the run loop latches
         the hook when it starts.
         """
-        if tracer is not None and not getattr(tracer, "enabled", True):
-            tracer = None
         self.tracer = tracer
         hook = self._hook
         if hook is None or hook == self._trace_call:

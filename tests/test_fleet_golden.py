@@ -7,7 +7,9 @@ pricing that moves any job's iteration times, any row or any counter
 fails here even when it is perfectly repeatable.
 
 Each case hashes three things: ``FleetResult.rows()``, every job's
-``iteration_log`` plus ``iso_iter_seconds``, and ``snapshot()``.
+``iteration_log`` plus ``iso_iter_seconds``, and ``snapshot()``.  A
+passive ``FlightRecorder`` rides along and its digest is pinned in
+``FLIGHT``, so a change to what the fleet logs shows up here too.
 Floats go through ``repr`` (exact), so a digest moves on a one-ulp
 change.  ``fidelity_pricing_events`` is left out of the snapshot digest
 and pinned on its own in ``PRICING_EVENTS``: it counts the packet events
@@ -23,6 +25,7 @@ import json
 
 import pytest
 
+from repro.obs import FlightRecorder
 from repro.workloads.fleet_bench import run_churn
 
 SEEDS = (17, 23)
@@ -51,6 +54,18 @@ PRICING_EVENTS = {
     ("packet", 23): 272077,
 }
 
+#: (fidelity, seed) -> ``FlightRecorder.digest()`` prefix: every flight
+#: record the run makes, from admissions and link faults down to the
+#: packet pricer's retransmits inside promoted windows.
+FLIGHT = {
+    ("fluid", 17): "52f59d2242738324",
+    ("fluid", 23): "dec4a9403ae0f0de",
+    ("hybrid", 17): "978c82d5fb013bf6",
+    ("hybrid", 23): "812ab518fd4559b0",
+    ("packet", 17): "492d28990aedb0d4",
+    ("packet", 23): "fa184520db733eb5",
+}
+
 
 def _digest(value):
     text = json.dumps(value, sort_keys=True, default=repr)
@@ -58,8 +73,9 @@ def _digest(value):
 
 
 def fleet_digests(fidelity, seed):
-    """``((rows, logs, snapshot) digests, pricing events)`` of one run."""
-    fleet, result = run_churn(seed=seed, fidelity=fidelity)
+    """``((rows, logs, snapshot) digests, pricing events, flight digest)``."""
+    flight = FlightRecorder()
+    fleet, result = run_churn(seed=seed, fidelity=fidelity, flight=flight)
     logs = [
         (job.spec.name, job.iso_iter_seconds,
          [list(entry) for entry in job.iteration_log])
@@ -68,25 +84,26 @@ def fleet_digests(fidelity, seed):
     snapshot = fleet.snapshot()
     events = snapshot.pop("fidelity_pricing_events")
     digests = (_digest(result.rows()), _digest(logs), _digest(snapshot))
-    return digests, events
+    return digests, events, flight.digest()[:16]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("fidelity", FIDELITIES)
 def test_churn_outputs_match_golden(fidelity, seed):
-    digests, events = fleet_digests(fidelity, seed)
+    digests, events, flight = fleet_digests(fidelity, seed)
     assert digests == GOLDEN[fidelity, seed]
     assert events == PRICING_EVENTS[fidelity, seed]
+    assert flight == FLIGHT[fidelity, seed]
 
 
 if __name__ == "__main__":
-    golden, pricing = {}, {}
+    golden, pricing, flights = {}, {}, {}
     for fidelity in FIDELITIES:
         for seed in SEEDS:
-            golden[fidelity, seed], pricing[fidelity, seed] = fleet_digests(
-                fidelity, seed
-            )
-    for name, table in (("GOLDEN", golden), ("PRICING_EVENTS", pricing)):
+            (golden[fidelity, seed], pricing[fidelity, seed],
+             flights[fidelity, seed]) = fleet_digests(fidelity, seed)
+    for name, table in (("GOLDEN", golden), ("PRICING_EVENTS", pricing),
+                        ("FLIGHT", flights)):
         print("%s = {" % name)
         for key, value in table.items():
             print("    %r: %r," % (key, value))

@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from repro.obs import FlightRecorder, write_perfetto_trace
+from repro.obs import FlightRecorder, Tracer, write_perfetto_trace
 from repro.obs.export import load_chrome_trace, perfetto_document
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import TimeSeriesSampler
+from repro.workloads.fleet_bench import run_fleet_smoke
 
 
 class TestRing:
@@ -34,13 +35,6 @@ class TestRing:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
-
-    def test_disabled_recorder_is_a_noop(self):
-        flight = FlightRecorder(enabled=False)
-        assert flight.record(1.0, "net", "retransmit") is None
-        assert flight.recorded == 0
-        assert len(flight) == 0
-        assert flight.events() == []
 
     def test_unknown_severity_rejected(self):
         flight = FlightRecorder()
@@ -129,6 +123,28 @@ class TestPerfettoMerge:
         assert instants[1]["args"]["severity"] == "warn"
         assert instants[1]["args"]["seq"] == 1
 
+    def test_multi_column_sampler_is_time_ordered(self, tmp_path):
+        # Two columns on one counter track: the samples must come out
+        # time-major, or the second column restarts the track at t=0.
+        sampler = TimeSeriesSampler(None, None)
+        sampler.samples = [
+            (0.0, {"net.queue": 1, "rnic.tx": 10}),
+            (0.001, {"net.queue": 3}),
+            (0.002, {"net.queue": 2, "rnic.tx": 30}),
+        ]
+        path = tmp_path / "trace.json"
+        write_perfetto_trace(str(path), sampler=sampler)
+        events = load_chrome_trace(str(path))["traceEvents"]
+        counters = [
+            (e["ts"], e["name"], e["args"]["value"])
+            for e in events if e.get("cat") == "counter"
+        ]
+        assert counters == [
+            (0.0, "net.queue", 1), (0.0, "rnic.tx", 10),
+            (1000.0, "net.queue", 3),
+            (2000.0, "net.queue", 2), (2000.0, "rnic.tx", 30),
+        ]
+
     def test_severity_counter_is_cumulative(self):
         flight = FlightRecorder()
         flight.record(0.0, "net", "a", severity="warn")
@@ -143,3 +159,21 @@ class TestPerfettoMerge:
     def test_empty_inputs_produce_empty_document(self):
         document = perfetto_document(flight=FlightRecorder())
         assert document["traceEvents"] == []
+
+
+class TestLoggedOnce:
+    """Fleet events live in the flight recorder only, never on the tracer."""
+
+    @pytest.mark.parametrize("fidelity", ["fluid", "hybrid"])
+    def test_fleet_events_reach_the_trace_once(self, tmp_path, fidelity):
+        tracer, flight = Tracer(), FlightRecorder()
+        run_fleet_smoke(seed=17, tracer=tracer, flight=flight,
+                        fidelity=fidelity)
+        assert len(flight) > 0
+        assert not [e for e in tracer.events if e.ph == "i"]
+        document = perfetto_document(tracer, flight=flight)
+        instants = [e for e in document["traceEvents"] if e.get("ph") == "i"]
+        assert len(instants) == len(flight)
+        path = tmp_path / "fleet.json"
+        write_perfetto_trace(str(path), tracer=tracer, flight=flight)
+        load_chrome_trace(str(path))

@@ -1,16 +1,10 @@
-"""Tracer unit tests: span ordering, Chrome schema, no-op path."""
+"""Tracer unit tests: span ordering, Chrome schema, untraced path."""
 
 import json
 
 import pytest
 
-from repro.obs import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    load_chrome_trace,
-    write_chrome_trace,
-)
+from repro.obs import Tracer, load_chrome_trace, write_perfetto_trace
 from repro.obs.trace import callback_name
 from repro.sim import EventScheduler
 
@@ -128,8 +122,8 @@ class TestChromeExport:
         tracer.async_end("flow", id=1, ts=5e-6, track="flows")
 
         path = tmp_path / "out.json"
-        count = write_chrome_trace(tracer, path)
-        assert count == len(tracer)
+        count = write_perfetto_trace(path, tracer=tracer)
+        assert count == len(tracer.to_chrome()["traceEvents"])
 
         # Plain json round-trip: the on-disk document is valid JSON with
         # the trace-event container shape.
@@ -173,27 +167,6 @@ class TestChromeExport:
 
 
 class TestDisabledTracing:
-    def test_null_tracer_is_inert(self):
-        null = NullTracer()
-        null.complete("x", 0.0, 1.0)
-        null.instant("x", 0.0)
-        null.begin("x", 0.0)
-        null.end(0.0)
-        null.async_begin("x", 1, 0.0)
-        null.async_end("x", 1, 0.0)
-        null.counter("x", 0.0, {"v": 1})
-        null.record_callback(0.0, "f", 0.0)
-        assert len(null) == 0
-        assert null.self_profile() == {}
-        assert null.to_chrome() == {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def test_scheduler_normalizes_disabled_tracer_to_none(self):
-        sched = EventScheduler(tracer=NULL_TRACER)
-        assert sched.tracer is None
-        sched = EventScheduler()
-        assert sched.set_tracer(NullTracer()) is None
-        assert sched.tracer is None
-
     def test_untraced_scheduler_records_nothing(self):
         sched = EventScheduler()
         sched.schedule(1e-6, lambda: None)

@@ -12,16 +12,17 @@ import pytest
 
 from repro.net import DualPlaneTopology, ServerAddress
 from repro.net.packet_sim import MessageFlow, PacketNetSim, run_flows
+from repro.obs.flight import FlightRecorder
 from repro.obs.trace import Tracer
 from repro.rnic.cc import WindowCC
 from repro.sim.units import usec
 from repro.workloads.fleet_bench import run_churn
 
 
-def _spray_run(tracer, loss, recovery):
+def _spray_run(tracer, loss, recovery, flight=None):
     topology = DualPlaneTopology(segments=2, servers_per_segment=4,
                                  rails=1, planes=2, aggs_per_plane=4)
-    sim = PacketNetSim(topology, seed=11, tracer=tracer)
+    sim = PacketNetSim(topology, seed=11, tracer=tracer, flight=flight)
     flows = []
     for i in range(4):
         flows.append(MessageFlow(
@@ -62,16 +63,20 @@ class TestTracerOnlyObserves:
     ])
     def test_packet_spray_outputs_match(self, loss, recovery):
         tracer = Tracer()
+        flight = FlightRecorder()
         untraced = _spray_run(None, loss, recovery)
-        traced = _spray_run(tracer, loss, recovery)
+        traced = _spray_run(tracer, loss, recovery, flight=flight)
         assert traced == untraced
         assert all(row[1] == 2 * 1024 * 1024 for row in untraced["flows"])
         names = {event.name for event in tracer.events}
         assert "PacketNetSim._hop" in names
         assert "MessageFlow._on_ack" in names
+        # Each RTO is logged once, as a flight record, never on the tracer.
+        rtos = sum(row[4] for row in untraced["flows"])
+        assert len(flight.by_kind("retransmit")) == rtos
+        assert "flow.rto" not in names
         if loss:
-            assert sum(row[4] for row in untraced["flows"]) > 0
-            assert "flow.rto" in names
+            assert rtos > 0
             assert "MessageFlow._rto_tick" in names
 
     def test_hybrid_churn_outputs_match(self):
